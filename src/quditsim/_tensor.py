@@ -2,7 +2,7 @@
 
 Everything here avoids materializing d**n x d**n operators: single-qudit
 matrices are contracted against one index of the reshaped amplitude tensor,
-and basis permutations are expressed as flat-index arithmetic.
+and marginals sum the reshaped tensor over every other index.
 """
 
 from __future__ import annotations
@@ -29,11 +29,7 @@ def apply_everywhere(
     return arr.reshape(-1)
 
 
-def wire_stride(d: int, n: int, wire: int) -> int:
-    """Flat-index stride of a wire under the big-endian convention."""
-    return d ** (n - 1 - wire)
-
-
-def wire_digits(d: int, n: int, wire: int) -> np.ndarray:
-    """Digit at `wire` of every flat index 0..d**n-1."""
-    return (np.arange(d**n) // wire_stride(d, n, wire)) % d
+def wire_marginal(probs: np.ndarray, d: int, n: int, wire: int) -> np.ndarray:
+    """Distribution of one wire's digit, from flat basis probabilities."""
+    axes = tuple(a for a in range(n) if a != wire)
+    return probs.reshape((d,) * n).sum(axis=axes)

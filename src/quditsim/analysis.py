@@ -9,16 +9,16 @@ one digit index of the state, so no d**n x d**n operator is ever built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
-from ._tensor import apply_at
+from ._tensor import apply_at, wire_marginal
 from .fourier import single_qudit_fourier, to_k_rep
 from .gates import translation_gate_matrix
 from .groups import DigitLabel, dot_mod, enumerate_labels
-from .states import Representation, StateVector, probabilities
+from .states import Representation, StateVector, probabilities, require_rep
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,16 +69,7 @@ def k_observable_in_q_rep(d: int) -> SingleQuditObservable:
 
 def q_observable(d: int) -> SingleQuditObservable:
     """diag(0, 1, ..., d-1) acting on q-rep amplitudes."""
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
-    return SingleQuditObservable(
-        d, np.diag(np.arange(d, dtype=np.complex128)), Representation.Q
-    )
-
-
-def _require_q_rep(state: StateVector) -> None:
-    if state.rep is not Representation.Q:
-        raise ValueError(f"expected a q-rep state, got {state.rep.value}-rep")
+    return replace(k_observable_in_k_rep(d), basis_tag=Representation.Q)
 
 
 def expect_k(state: StateVector) -> np.ndarray:
@@ -87,7 +78,7 @@ def expect_k(state: StateVector) -> np.ndarray:
     Note this is the arithmetic mean of a cyclic quantity; see
     k_distributions for the full per-qudit distribution.
     """
-    _require_q_rep(state)
+    require_rep(state, Representation.Q)
     d, n = state.system.d, state.system.n
     kq = k_observable_in_q_rep(d).matrix
     out = np.empty(n)
@@ -100,27 +91,22 @@ def expect_k(state: StateVector) -> np.ndarray:
 
 def expect_q(state: StateVector) -> np.ndarray:
     """Per-qudit expectation of the digit value: sum over q of |psi(q)|^2 * q_j."""
-    _require_q_rep(state)
+    require_rep(state, Representation.Q)
     d, n = state.system.d, state.system.n
-    probs = probabilities(state).reshape((d,) * n)
+    probs = probabilities(state)
     values = np.arange(d)
     out = np.empty(n)
     for wire in range(n):
-        axes = tuple(a for a in range(n) if a != wire)
-        out[wire] = float(probs.sum(axis=axes) @ values)
+        out[wire] = float(wire_marginal(probs, d, n, wire) @ values)
     return out
 
 
 def k_distributions(state: StateVector) -> np.ndarray:
     """(n, d) array: row j is the marginal distribution of k_j."""
-    _require_q_rep(state)
+    require_rep(state, Representation.Q)
     d, n = state.system.d, state.system.n
-    probs = probabilities(to_k_rep(state)).reshape((d,) * n)
-    out = np.empty((n, d))
-    for wire in range(n):
-        axes = tuple(a for a in range(n) if a != wire)
-        out[wire] = probs.sum(axis=axes)
-    return out
+    probs = probabilities(to_k_rep(state))
+    return np.array([wire_marginal(probs, d, n, wire) for wire in range(n)])
 
 
 def commutator_qk(d: int) -> tuple[np.ndarray, float]:
@@ -143,7 +129,7 @@ def shannon_entropy(probs: np.ndarray, base: float | None = None) -> float:
 
 def entropies(state: StateVector, base: float | None = None) -> EntropyReport:
     """Entropy of the q-distribution and of the dual k-distribution."""
-    _require_q_rep(state)
+    require_rep(state, Representation.Q)
     h_q = shannon_entropy(probabilities(state), base)
     h_k = shannon_entropy(probabilities(to_k_rep(state)), base)
     label = "e" if base is None else format(base, "g")

@@ -13,6 +13,7 @@ import json
 import sys
 from typing import Any
 
+from ._tensor import wire_marginal
 from .analysis import (
     entropies,
     entropy_to_dict,
@@ -161,9 +162,9 @@ def _cmd_functional(args: argparse.Namespace) -> tuple[Any, int]:
         basis_state(DigitLabel((0,), QuditSystem(1, d)), Representation.Q),
     )
     out = run_circuit(circuit, start)
-    marginal = probabilities(out).reshape((d,) * circuit.system.n)
-    holder_axes = tuple(a for a in range(circuit.system.n) if a != layout.holder_wire)
-    holder_probs = marginal.sum(axis=holder_axes)
+    holder_probs = wire_marginal(
+        probabilities(out), d, circuit.system.n, layout.holder_wire
+    )
     return {
         "state": state_to_dict(out),
         "holder_probabilities": [float(p) for p in holder_probs],

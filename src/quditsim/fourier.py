@@ -14,9 +14,7 @@ import numpy as np
 
 from ._tensor import apply_everywhere
 from .groups import DigitLabel, QuditSystem, enumerate_labels
-from .states import Representation, StateVector
-
-ORACLE_DIM_CAP = 4096
+from .states import Representation, StateVector, require_rep
 
 
 def single_qudit_fourier(d: int) -> np.ndarray:
@@ -29,8 +27,7 @@ def single_qudit_fourier(d: int) -> np.ndarray:
 
 def to_q_rep(phi: StateVector) -> StateVector:
     """Transform a k-rep state to the q-representation (F on every qudit)."""
-    if phi.rep is not Representation.K:
-        raise ValueError(f"expected a k-rep state, got {phi.rep.value}-rep")
+    require_rep(phi, Representation.K)
     d, n = phi.system.d, phi.system.n
     amps = apply_everywhere(phi.amplitudes, d, n, single_qudit_fourier(d))
     return StateVector(phi.system, Representation.Q, amps)
@@ -38,8 +35,7 @@ def to_q_rep(phi: StateVector) -> StateVector:
 
 def to_k_rep(psi: StateVector) -> StateVector:
     """Transform a q-rep state to the k-representation (F dagger per qudit)."""
-    if psi.rep is not Representation.Q:
-        raise ValueError(f"expected a q-rep state, got {psi.rep.value}-rep")
+    require_rep(psi, Representation.Q)
     d, n = psi.system.d, psi.system.n
     f_dag = single_qudit_fourier(d).conj().T
     amps = apply_everywhere(psi.amplitudes, d, n, f_dag)
@@ -70,10 +66,7 @@ def dense_fourier_oracle(system: QuditSystem) -> np.ndarray:
     per-qudit factorized path; intended for tests, so the dimension is
     capped at ORACLE_DIM_CAP.
     """
-    if system.dim > ORACLE_DIM_CAP:
-        raise ValueError(
-            f"oracle dimension {system.dim} exceeds the cap {ORACLE_DIM_CAP}"
-        )
+    system.require_oracle_dim()
     digits = np.array([lab.digits for lab in enumerate_labels(system)])
     exponents = (digits @ digits.T) % system.d
     return np.exp(2j * np.pi * exponents / system.d) / np.sqrt(system.dim)

@@ -1,91 +1,234 @@
 """Structured qudit gates and circuits.
 
-All arithmetic gates (translations, controlled adds, doubly controlled adds)
-are basis permutations and are applied as flat-index arithmetic in O(d**n);
-full gate matrices exist only inside the test oracle.
+Translations, controlled adds and doubly controlled adds all add a function
+of the control digits to the target digit, mod d: basis permutations done by
+one gather over the reshaped amplitude tensor in O(d**n). Full gate matrices
+exist only inside the test oracle. Each gate class holds everything specific
+to its kind, and is validated when it and its Circuit are built. run_circuit
+passes one raw buffer from gate to gate and checks the norm after every
+SingleQuditUnitary only, since the other gates merely reorder amplitudes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Union
+from dataclasses import dataclass, fields
+from typing import Any, ClassVar, Union, get_args
 
 import numpy as np
 
-from ._tensor import apply_at, wire_digits, wire_stride
+from ._tensor import apply_at
 from .groups import QuditSystem
-from .states import Representation, StateVector
+from .states import (
+    Representation,
+    StateVector,
+    check_norm,
+    require_rep,
+    system_from_dict,
+)
 
 UNITARY_TOL = 1e-10
-ORACLE_DIM_CAP = 4096
+
+
+def _add_to_digit(
+    amps: np.ndarray,
+    d: int,
+    n: int,
+    target: int,
+    controls: tuple[int, ...],
+    shift: np.ndarray,
+) -> np.ndarray:
+    """Add shift[control digits] to the target digit of every index, mod d.
+
+    `shift` is a (d,)*len(controls) table with entries in [0, d), indexed by
+    the control digits in the order given. Each run of other wires becomes
+    one axis, so the tensor has at most 7 axes, and one gather along the
+    target axis moves every amplitude.
+    """
+    wires = sorted((target, *controls))
+    shape: list[int] = []
+    index_shape: list[int] = []
+    axis: dict[int, int] = {}
+    for lo, wire in zip((-1, *wires), (*wires, n)):
+        if wire > lo + 1:  # the wires strictly between lo and wire
+            shape.append(d ** (wire - lo - 1))
+            index_shape.append(1)
+        if wire < n:
+            axis[wire] = len(shape)
+            shape.append(d)
+            index_shape.append(d)
+    # source target digit for each (control digits..., target digit)
+    index = (np.arange(d) - shift[..., None]) % d
+    index = index.transpose(np.argsort((*controls, target))).reshape(index_shape)
+    arr = amps.reshape(shape)
+    if not controls:  # the same gather in every slice; np.take is ~5x faster
+        return np.take(arr, index.reshape(-1), axis=axis[target]).reshape(-1)
+    return np.take_along_axis(arr, index, axis=axis[target]).reshape(-1)
+
+
+def _require_digit(name: str, value: int, d: int) -> None:
+    if not 0 <= value < d:
+        raise ValueError(f"{name} {value} outside [0, {d})")
+
+
+def _gate_field(doc: dict[str, Any], index: int, key: str) -> Any:
+    if key not in doc:
+        raise ValueError(f"gate {index}: missing field {key!r}")
+    return doc[key]
+
+
+def _int_field(doc: dict[str, Any], index: int, key: str) -> int:
+    value = _gate_field(doc, index, key)
+    if type(value) is not int:  # JSON integers only: no bool, no float
+        raise ValueError(
+            f"gate {index}: field {key!r} must be an integer, got {value!r}"
+        )
+    return value
+
+
+class _GateKind:
+    """What the four gate classes share.
+
+    Each names its JSON `kind` and its wire (target last) and digit fields;
+    an arithmetic gate defines shift(d), the amount added to the target digit
+    indexed by the control digits. Each dataclass field is an integer JSON
+    field unless the class overrides to_dict/from_dict.
+    """
+
+    kind: ClassVar[str]
+    wire_fields: ClassVar[tuple[str, ...]]
+    digit_fields: ClassVar[tuple[str, ...]] = ()
+
+    @property
+    def wires(self) -> tuple[int, ...]:
+        return tuple(getattr(self, name) for name in self.wire_fields)
+
+    def check(self, n: int, d: int) -> None:
+        """Raise ValueError unless the gate fits n qudits of dimension d."""
+        for wire in self.wires:
+            _require_digit("wire", wire, n)
+        for name in self.digit_fields:
+            _require_digit(name, getattr(self, name), d)
+
+    def apply(self, amps: np.ndarray, d: int, n: int) -> np.ndarray:
+        """The gate's action on a raw q-rep amplitude buffer of length d**n."""
+        *controls, target = self.wires
+        return _add_to_digit(amps, d, n, target, tuple(controls), self.shift(d))
+
+    def to_dict(self) -> dict[str, Any]:
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"kind": self.kind, **values}
+
+    @classmethod
+    def from_dict(cls, doc: dict[str, Any], index: int) -> Any:
+        return cls(**{f.name: _int_field(doc, index, f.name) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
-class Translation:
+class Translation(_GateKind):
     """Advance the target qudit's value by a constant amount, modulo d."""
 
     target: int
     amount: int
 
+    kind = "translation"
+    wire_fields = ("target",)
+    digit_fields = ("amount",)
+
+    def shift(self, d: int) -> np.ndarray:
+        return np.array(self.amount)
+
 
 @dataclass(frozen=True)
-class ControlledAdd:
+class ControlledAdd(_GateKind):
     """Add multiplier * (control digit) to the target digit, modulo d."""
 
     control: int
     target: int
     multiplier: int
 
+    kind = "cadd"
+    wire_fields = ("control", "target")
+    digit_fields = ("multiplier",)
+
     def __post_init__(self) -> None:
         if self.control == self.target:
             raise ValueError("control and target must be distinct wires")
 
+    def shift(self, d: int) -> np.ndarray:
+        return self.multiplier * np.arange(d) % d
+
 
 @dataclass(frozen=True)
-class DoublyControlledAdd:
+class DoublyControlledAdd(_GateKind):
     """Add the product of the two control digits to the target digit, mod d."""
 
     k_control: int
     j_control: int
     target: int
 
+    kind = "ccadd"
+    wire_fields = ("k_control", "j_control", "target")
+
     def __post_init__(self) -> None:
-        wires = (self.k_control, self.j_control, self.target)
-        if len(set(wires)) != 3:
-            raise ValueError(f"wires must be distinct, got {wires}")
+        if len(set(self.wires)) != 3:
+            raise ValueError(f"wires must be distinct, got {self.wires}")
+
+    def shift(self, d: int) -> np.ndarray:
+        return np.outer(np.arange(d), np.arange(d)) % d
 
 
 @dataclass(frozen=True, eq=False)
-class SingleQuditUnitary:
+class SingleQuditUnitary(_GateKind):
     """Apply an arbitrary d x d unitary to the target qudit."""
 
     target: int
     matrix: np.ndarray
 
+    kind = "unitary"
+    wire_fields = ("target",)
+
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
         dev = np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
         if dev > UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
+    def check(self, n: int, d: int) -> None:
+        super().check(n, d)
+        if self.matrix.shape != (d, d):
+            raise ValueError(f"matrix shape {self.matrix.shape} != ({d}, {d})")
+
+    def apply(self, amps: np.ndarray, d: int, n: int) -> np.ndarray:
+        out = apply_at(amps, d, n, self.target, self.matrix)
+        check_norm(out)
+        return out
+
+    def to_dict(self) -> dict[str, Any]:
+        rows = [[[float(x.real), float(x.imag)] for x in row] for row in self.matrix]
+        return {"kind": self.kind, "target": self.target, "matrix": rows}
+
+    @classmethod
+    def from_dict(cls, doc: dict[str, Any], index: int) -> SingleQuditUnitary:
+        target = _int_field(doc, index, "target")
+        try:
+            pairs = np.array(_gate_field(doc, index, "matrix"), dtype=np.float64)
+        except (TypeError, ValueError):
+            pairs = np.empty(0)
+        if pairs.ndim != 3 or pairs.shape[2] != 2:
+            raise ValueError(
+                f"gate {index}: field 'matrix' must be rows of [re, im] pairs"
+            )
+        return cls(target=target, matrix=pairs.view(np.complex128)[..., 0])
+
 
 Gate = Union[Translation, ControlledAdd, DoublyControlledAdd, SingleQuditUnitary]
-
-
-def _gate_wires(gate: Gate) -> tuple[int, ...]:
-    if isinstance(gate, Translation):
-        return (gate.target,)
-    if isinstance(gate, ControlledAdd):
-        return (gate.control, gate.target)
-    if isinstance(gate, DoublyControlledAdd):
-        return (gate.k_control, gate.j_control, gate.target)
-    if isinstance(gate, SingleQuditUnitary):
-        return (gate.target,)
-    raise TypeError(f"unknown gate type {type(gate).__name__}")
+_KINDS = {cls.kind: cls for cls in get_args(Gate)}
 
 
 @dataclass(frozen=True)
@@ -99,19 +242,12 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         n, d = self.system.n, self.system.d
         for i, gate in enumerate(self.gates):
-            for wire in _gate_wires(gate):
-                if not 0 <= wire < n:
-                    raise ValueError(f"gate {i}: wire {wire} outside [0, {n})")
-            if isinstance(gate, Translation) and not 0 <= gate.amount < d:
-                raise ValueError(f"gate {i}: amount {gate.amount} outside [0, {d})")
-            if isinstance(gate, ControlledAdd) and not 0 <= gate.multiplier < d:
-                raise ValueError(
-                    f"gate {i}: multiplier {gate.multiplier} outside [0, {d})"
-                )
-            if isinstance(gate, SingleQuditUnitary) and gate.matrix.shape != (d, d):
-                raise ValueError(
-                    f"gate {i}: matrix shape {gate.matrix.shape} != ({d}, {d})"
-                )
+            if not isinstance(gate, _GateKind):
+                raise TypeError(f"unknown gate type {type(gate).__name__}")
+            try:
+                gate.check(n, d)
+            except ValueError as exc:
+                raise ValueError(f"gate {i}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -125,113 +261,51 @@ class FunctionalCircuitLayout:
 
 def translation_gate_matrix(d: int, amount: int) -> np.ndarray:
     """Permutation matrix sending |c> to |c + amount mod d>."""
-    if not 0 <= amount < d:
-        raise ValueError(f"amount {amount} outside [0, {d})")
+    _require_digit("amount", amount, d)
     m = np.zeros((d, d), dtype=np.complex128)
     m[(np.arange(d) + amount) % d, np.arange(d)] = 1.0
     return m
 
 
-def _require_q_rep(state: StateVector) -> None:
-    if state.rep is not Representation.Q:
-        raise ValueError(f"gates act on q-rep states, got {state.rep.value}-rep")
-
-
-def _require_wire(system: QuditSystem, wire: int) -> None:
-    if not 0 <= wire < system.n:
-        raise ValueError(f"wire {wire} outside [0, {system.n})")
-
-
 def apply_translation(state: StateVector, target: int, amount: int) -> StateVector:
-    """Shift the target digit by `amount` mod d (cyclic index roll)."""
-    _require_q_rep(state)
-    _require_wire(state.system, target)
-    d, n = state.system.d, state.system.n
-    if not 0 <= amount < d:
-        raise ValueError(f"amount {amount} outside [0, {d})")
-    arr = state.amplitudes.reshape((d,) * n)
-    out = np.roll(arr, amount, axis=target).reshape(-1)
-    return StateVector(state.system, Representation.Q, out)
-
-
-def _permute_target_digit(
-    state: StateVector, target: int, new_target_digit: np.ndarray
-) -> StateVector:
-    """Move each amplitude to the index whose target digit is replaced."""
-    d, n = state.system.d, state.system.n
-    stride = wire_stride(d, n, target)
-    old = wire_digits(d, n, target)
-    dest = np.arange(state.system.dim) + (new_target_digit - old) * stride
-    out = np.empty_like(state.amplitudes)
-    out[dest] = state.amplitudes
-    return StateVector(state.system, Representation.Q, out)
+    """Shift the target digit by `amount` mod d."""
+    return run_circuit(Circuit(state.system, (Translation(target, amount),)), state)
 
 
 def apply_controlled_add(
     state: StateVector, control: int, target: int, multiplier: int
 ) -> StateVector:
     """target digit += multiplier * control digit (mod d); control unchanged."""
-    _require_q_rep(state)
-    if control == target:
-        raise ValueError("control and target must be distinct wires")
-    _require_wire(state.system, control)
-    _require_wire(state.system, target)
-    d, n = state.system.d, state.system.n
-    if not 0 <= multiplier < d:
-        raise ValueError(f"multiplier {multiplier} outside [0, {d})")
-    new_target = (
-        wire_digits(d, n, target) + multiplier * wire_digits(d, n, control)
-    ) % d
-    return _permute_target_digit(state, target, new_target)
+    gate = ControlledAdd(control, target, multiplier)
+    return run_circuit(Circuit(state.system, (gate,)), state)
 
 
 def apply_doubly_controlled_add(
     state: StateVector, k_control: int, j_control: int, target: int
 ) -> StateVector:
     """target digit += (k_control digit) * (j_control digit), mod d."""
-    _require_q_rep(state)
-    if len({k_control, j_control, target}) != 3:
-        raise ValueError(
-            f"wires must be distinct, got {(k_control, j_control, target)}"
-        )
-    for wire in (k_control, j_control, target):
-        _require_wire(state.system, wire)
-    d, n = state.system.d, state.system.n
-    new_target = (
-        wire_digits(d, n, target)
-        + wire_digits(d, n, k_control) * wire_digits(d, n, j_control)
-    ) % d
-    return _permute_target_digit(state, target, new_target)
-
-
-def _apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    if isinstance(gate, Translation):
-        return apply_translation(state, gate.target, gate.amount)
-    if isinstance(gate, ControlledAdd):
-        return apply_controlled_add(state, gate.control, gate.target, gate.multiplier)
-    if isinstance(gate, DoublyControlledAdd):
-        return apply_doubly_controlled_add(
-            state, gate.k_control, gate.j_control, gate.target
-        )
-    if isinstance(gate, SingleQuditUnitary):
-        _require_q_rep(state)
-        d, n = state.system.d, state.system.n
-        amps = apply_at(state.amplitudes, d, n, gate.target, gate.matrix)
-        return StateVector(state.system, Representation.Q, amps)
-    raise TypeError(f"unknown gate type {type(gate).__name__}")
+    gate = DoublyControlledAdd(k_control, j_control, target)
+    return run_circuit(Circuit(state.system, (gate,)), state)
 
 
 def run_circuit(circuit: Circuit, state: StateVector) -> StateVector:
-    """Apply the gates in order; normalization is revalidated after each gate."""
+    """Apply the gates in order to a q-rep state.
+
+    One raw amplitude buffer passes from gate to gate. The norm is checked
+    after every SingleQuditUnitary and once more on the final StateVector;
+    arithmetic gates only reorder amplitudes, so they cannot change it.
+    """
     if state.system != circuit.system:
         raise ValueError(
             f"state system {state.system} does not match circuit system"
             f" {circuit.system}"
         )
-    _require_q_rep(state)
+    require_rep(state, Representation.Q)
+    d, n = circuit.system.d, circuit.system.n
+    amps = state.amplitudes
     for gate in circuit.gates:
-        state = _apply_gate(state, gate)
-    return state
+        amps = gate.apply(amps, d, n)
+    return StateVector(circuit.system, Representation.Q, amps)
 
 
 def build_functional_circuit(
@@ -262,9 +336,8 @@ def circuit_unitary_oracle(circuit: Circuit) -> np.ndarray:
 
     Test oracle only; the dimension is capped at ORACLE_DIM_CAP.
     """
+    circuit.system.require_oracle_dim()
     dim = circuit.system.dim
-    if dim > ORACLE_DIM_CAP:
-        raise ValueError(f"oracle dimension {dim} exceeds the cap {ORACLE_DIM_CAP}")
     matrix = np.zeros((dim, dim), dtype=np.complex128)
     for col in range(dim):
         e = np.zeros(dim, dtype=np.complex128)
@@ -276,62 +349,13 @@ def circuit_unitary_oracle(circuit: Circuit) -> np.ndarray:
 
 def circuit_to_dict(circuit: Circuit) -> dict[str, Any]:
     """JSON-ready form: {"n", "d", "gates": [{"kind", ...}, ...]}."""
-    gates: list[dict[str, Any]] = []
-    for gate in circuit.gates:
-        if isinstance(gate, Translation):
-            gates.append(
-                {"kind": "translation", "target": gate.target, "amount": gate.amount}
-            )
-        elif isinstance(gate, ControlledAdd):
-            gates.append(
-                {
-                    "kind": "cadd",
-                    "control": gate.control,
-                    "target": gate.target,
-                    "multiplier": gate.multiplier,
-                }
-            )
-        elif isinstance(gate, DoublyControlledAdd):
-            gates.append(
-                {
-                    "kind": "ccadd",
-                    "k_control": gate.k_control,
-                    "j_control": gate.j_control,
-                    "target": gate.target,
-                }
-            )
-        elif isinstance(gate, SingleQuditUnitary):
-            gates.append(
-                {
-                    "kind": "unitary",
-                    "target": gate.target,
-                    "matrix": [
-                        [[float(x.real), float(x.imag)] for x in row]
-                        for row in gate.matrix
-                    ],
-                }
-            )
-        else:
-            raise TypeError(f"unknown gate type {type(gate).__name__}")
+    gates = [gate.to_dict() for gate in circuit.gates]
     return {"n": circuit.system.n, "d": circuit.system.d, "gates": gates}
 
 
-def _gate_field(doc: dict[str, Any], index: int, key: str) -> Any:
-    if key not in doc:
-        raise ValueError(f"gate {index}: missing field {key!r}")
-    return doc[key]
-
-
 def circuit_from_dict(doc: Any) -> Circuit:
-    """Parse and validate the JSON circuit format."""
-    if not isinstance(doc, dict):
-        raise ValueError("circuit document must be a JSON object")
-    for key in ("n", "d", "gates"):
-        if key not in doc:
-            raise ValueError(f"circuit document missing field {key!r}")
-    if not isinstance(doc["n"], int) or not isinstance(doc["d"], int):
-        raise ValueError("circuit fields 'n' and 'd' must be integers")
-    system = QuditSystem(doc["n"], doc["d"])
+    """Parse and validate the JSON circuit format; integer fields must be ints."""
+    system = system_from_dict(doc, "circuit", ("gates",))
     if not isinstance(doc["gates"], list):
         raise ValueError("circuit field 'gates' must be a list")
     gates: list[Gate] = []
@@ -339,40 +363,7 @@ def circuit_from_dict(doc: Any) -> Circuit:
         if not isinstance(g, dict):
             raise ValueError(f"gate {i} must be a JSON object")
         kind = _gate_field(g, i, "kind")
-        if kind == "translation":
-            gates.append(
-                Translation(
-                    target=int(_gate_field(g, i, "target")),
-                    amount=int(_gate_field(g, i, "amount")),
-                )
-            )
-        elif kind == "cadd":
-            gates.append(
-                ControlledAdd(
-                    control=int(_gate_field(g, i, "control")),
-                    target=int(_gate_field(g, i, "target")),
-                    multiplier=int(_gate_field(g, i, "multiplier")),
-                )
-            )
-        elif kind == "ccadd":
-            gates.append(
-                DoublyControlledAdd(
-                    k_control=int(_gate_field(g, i, "k_control")),
-                    j_control=int(_gate_field(g, i, "j_control")),
-                    target=int(_gate_field(g, i, "target")),
-                )
-            )
-        elif kind == "unitary":
-            rows = _gate_field(g, i, "matrix")
-            matrix = np.array(
-                [[complex(re, im) for re, im in row] for row in rows],
-                dtype=np.complex128,
-            )
-            gates.append(
-                SingleQuditUnitary(
-                    target=int(_gate_field(g, i, "target")), matrix=matrix
-                )
-            )
-        else:
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise ValueError(f"gate {i}: unknown kind {kind!r}")
+        gates.append(_KINDS[kind].from_dict(g, i))
     return Circuit(system, tuple(gates))

@@ -5,6 +5,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
+ORACLE_DIM_CAP = 4096  # largest d**n for which a dense d**n x d**n oracle is built
+
 
 @dataclass(frozen=True)
 class QuditSystem:
@@ -26,6 +28,13 @@ class QuditSystem:
     @property
     def dim(self) -> int:
         return self.d**self.n
+
+    def require_oracle_dim(self) -> None:
+        """Refuse dense-oracle work above ORACLE_DIM_CAP."""
+        if self.dim > ORACLE_DIM_CAP:
+            raise ValueError(
+                f"oracle dimension {self.dim} exceeds the cap {ORACLE_DIM_CAP}"
+            )
 
 
 @dataclass(frozen=True)

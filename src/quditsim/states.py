@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Sequence
@@ -25,8 +26,8 @@ class StateVector:
     """Normalized amplitude vector of length d**n in a fixed representation.
 
     Construction copies the amplitudes into an owned read-only complex128
-    buffer and rejects vectors whose squared norm deviates from 1 by more
-    than NORM_TOL; amplitudes are stored exactly as given, never rescaled.
+    buffer and rejects it as check_norm does; amplitudes are stored exactly
+    as given, never rescaled.
     """
 
     system: QuditSystem
@@ -39,14 +40,27 @@ class StateVector:
             raise ValueError(
                 f"expected {self.system.dim} amplitudes, got shape {amps.shape}"
             )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(
-                f"state is not normalized: sum |a|^2 = {norm_sq!r}"
-                f" (deviation {norm_sq - 1.0:+.3e})"
-            )
+        check_norm(amps)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+
+
+def check_norm(amps: np.ndarray) -> None:
+    """Reject non-finite amplitudes and squared norms off 1 by more than NORM_TOL."""
+    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    if not math.isfinite(norm_sq):
+        raise ValueError(f"state has non-finite amplitudes: sum |a|^2 = {norm_sq!r}")
+    if abs(norm_sq - 1.0) > NORM_TOL:
+        raise ValueError(
+            f"state is not normalized: sum |a|^2 = {norm_sq!r}"
+            f" (deviation {norm_sq - 1.0:+.3e})"
+        )
+
+
+def require_rep(state: StateVector, rep: Representation) -> None:
+    """Reject a state that is not expressed in `rep`."""
+    if state.rep is not rep:
+        raise ValueError(f"expected a {rep.value}-rep state, got {state.rep.value}-rep")
 
 
 def basis_state(label: DigitLabel, rep: Representation) -> StateVector:
@@ -121,16 +135,21 @@ def state_to_dict(state: StateVector) -> dict[str, Any]:
     }
 
 
+def system_from_dict(doc: Any, what: str, keys: tuple[str, ...]) -> QuditSystem:
+    """The system of a JSON document that must have fields n, d and `keys`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} document must be a JSON object")
+    for key in ("n", "d", *keys):
+        if key not in doc:
+            raise ValueError(f"{what} document missing field {key!r}")
+    if type(doc["n"]) is not int or type(doc["d"]) is not int:  # bool is an int
+        raise ValueError(f"{what} fields 'n' and 'd' must be integers")
+    return QuditSystem(doc["n"], doc["d"])
+
+
 def state_from_dict(doc: Any) -> StateVector:
     """Parse and validate the JSON state format."""
-    if not isinstance(doc, dict):
-        raise ValueError("state document must be a JSON object")
-    for key in ("n", "d", "rep", "amplitudes"):
-        if key not in doc:
-            raise ValueError(f"state document missing field {key!r}")
-    if not isinstance(doc["n"], int) or not isinstance(doc["d"], int):
-        raise ValueError("state fields 'n' and 'd' must be integers")
-    system = QuditSystem(doc["n"], doc["d"])
+    system = system_from_dict(doc, "state", ("rep", "amplitudes"))
     try:
         rep = Representation(doc["rep"])
     except ValueError:

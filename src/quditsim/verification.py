@@ -22,7 +22,6 @@ from .analysis import (
 )
 from ._tensor import apply_at
 from .fourier import (
-    ORACLE_DIM_CAP,
     dense_fourier_oracle,
     planewave,
     single_qudit_fourier,
@@ -42,6 +41,7 @@ from .gates import (
     translation_gate_matrix,
 )
 from .groups import (
+    ORACLE_DIM_CAP,
     DigitLabel,
     QuditSystem,
     dot_mod,
@@ -129,10 +129,7 @@ def _random_gate(rng: np.random.Generator, n: int, d: int) -> Gate:
 def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]:
     """Run the invariant sweep for one (d, n) system; deterministic per seed."""
     system = QuditSystem(n, d)
-    if system.dim > ORACLE_DIM_CAP:
-        raise ValueError(
-            f"verification needs dimension <= {ORACLE_DIM_CAP}, got {system.dim}"
-        )
+    system.require_oracle_dim()
     rng = np.random.default_rng(seed)
     dim = system.dim
     checks: list[dict[str, Any]] = []

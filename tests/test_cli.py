@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -371,3 +372,94 @@ def test_commands_byte_identical_in_process(tmp_path, capsys):
         _, first, _ = invoke(capsys, argv)
         _, second, _ = invoke(capsys, argv)
         assert first == second and first
+
+
+# (d, n) -> sha256 of `quditsim run` stdout for golden_run_files(d, n, seed=d);
+# pins the gate kernels' output bytes across refactors.
+GOLDEN_RUN_SHA256 = {
+    (2, 5): "9dd1c5e29ef4ebca300d35ce58d2efd770f318a602786650b7ceb62cee1b7fbc",
+    (3, 4): "8dbdfd4d6b3f4447a1f81725546af00f899e45fb60facd63e27e2867b90f9dcc",
+    (5, 3): "7ec0541486c16d8b9b966abb68ac8be904d213743c0c3070b2fbdf724a05d784",
+    (16, 3): "af645ed86937e77c699e5019ec316e9892ee2d142c37c7e323d547231da97f4d",
+}
+
+
+def golden_run_files(tmp_path, d, n, seed, count=40):
+    """Seeded state and four-kind circuit files whose run output is exact.
+
+    The norm uses math.fsum and the unitaries are monomial (a permutation
+    times phases in {1, i, -1, -i}), so every output amplitude is one input
+    amplitude times a unit phase: no digit depends on the BLAS summation order.
+    """
+    rng = np.random.default_rng(seed)
+    re, im = rng.standard_normal(d**n), rng.standard_normal(d**n)
+    norm = math.sqrt(math.fsum((re * re).tolist() + (im * im).tolist()))
+    amps = [[x / norm, y / norm] for x, y in zip(re.tolist(), im.tolist())]
+    phases = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+    gates = []
+    for i in range(count):
+        a, b, c = (int(w) for w in rng.choice(n, size=3, replace=False))
+        kind = ("translation", "cadd", "ccadd", "unitary")[i % 4]
+        if kind == "translation":
+            gates.append({"kind": kind, "target": a, "amount": int(rng.integers(d))})
+        elif kind == "cadd":
+            gates.append({"kind": kind, "control": a, "target": b,
+                          "multiplier": int(rng.integers(d))})
+        elif kind == "ccadd":
+            gates.append({"kind": kind, "k_control": a, "j_control": b, "target": c})
+        else:
+            rows = [[[0.0, 0.0] for _ in range(d)] for _ in range(d)]
+            for col, row in enumerate(rng.permutation(d).tolist()):
+                rows[row][col] = phases[int(rng.integers(4))]
+            gates.append({"kind": kind, "target": a, "matrix": rows})
+    state_path, circuit_path = tmp_path / "state.json", tmp_path / "circuit.json"
+    state_path.write_text(json.dumps({"n": n, "d": d, "rep": "q", "amplitudes": amps}))
+    circuit_path.write_text(json.dumps({"n": n, "d": d, "gates": gates}))
+    return str(state_path), str(circuit_path)
+
+
+@pytest.mark.parametrize("d,n", sorted(GOLDEN_RUN_SHA256))
+def test_run_stdout_matches_golden_sha256(tmp_path, capsys, d, n):
+    state_path, circuit_path = golden_run_files(tmp_path, d, n, seed=d)
+    code, out, err = invoke(capsys, ["run", "--circuit", circuit_path, "--in", state_path])
+    assert code == EXIT_OK, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_RUN_SHA256[(d, n)]
+
+
+NAN_UNITARY = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "n,gate",
+    [
+        (True, {"kind": "translation", "target": 0, "amount": 1}),
+        (1, {"kind": "translation", "target": 0, "amount": 1.7}),
+        (2, {"kind": "translation", "target": True, "amount": 1}),
+        (2, {"kind": "cadd", "control": 0, "target": 1, "multiplier": 1.0}),
+        (3, {"kind": "ccadd", "k_control": "0", "j_control": 1, "target": 2}),
+        (1, {"kind": "unitary", "target": 0, "matrix": [5, 6]}),
+        (1, {"kind": "unitary", "target": 0, "matrix": NAN_UNITARY}),
+    ],
+    ids=["bool-n", "float-amount", "bool-target", "integral-float-multiplier",
+         "string-wire", "flat-matrix", "nan-matrix"],
+)
+def test_run_rejects_malformed_circuit_fields(tmp_path, capsys, n, gate):
+    # the state matches the system a lax parser would read (true as n=1)
+    state_path = write_state(tmp_path, "state.json", basis((0,) * int(n), 2))
+    circuit_path = tmp_path / "circuit.json"
+    circuit_path.write_text(json.dumps({"n": n, "d": 2, "gates": [gate]}))
+    code, out, err = invoke(
+        capsys, ["run", "--circuit", str(circuit_path), "--in", state_path]
+    )
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_transform_rejects_nan_amplitude(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"n": 1, "d": 2, "rep": "q", "amplitudes": [[NaN, 0], [1, 0]]}')
+    code, out, err = invoke(capsys, ["transform", "--in", str(path), "--to", "k"])
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "non-finite" in err and err.count("\n") == 1

@@ -129,6 +129,8 @@ def test_gate_descriptor_validation():
         SingleQuditUnitary(0, np.array([[1, 0], [1, 1]]))
     with pytest.raises(ValueError, match="square"):
         SingleQuditUnitary(0, np.ones((2, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        SingleQuditUnitary(0, np.array([[np.nan, 0], [0, 1]]))
 
 
 def test_circuit_validation():
@@ -344,3 +346,71 @@ def test_circuit_json_validation():
         circuit_from_dict({"n": 1, "d": 2, "gates": [{"kind": "swap"}]})
     with pytest.raises(ValueError, match="missing field 'amount'"):
         circuit_from_dict({"n": 1, "d": 2, "gates": [{"kind": "translation", "target": 0}]})
+
+
+def digit_reference(amps, d, n, target, controls, shift):
+    """Move each amplitude to the index whose target digit gains shift(controls)."""
+    digits = list(np.unravel_index(np.arange(d**n), (d,) * n))
+    digits[target] = (digits[target] + shift(*(digits[c] for c in controls))) % d
+    out = np.empty_like(amps)
+    out[np.ravel_multi_index(tuple(digits), (d,) * n)] = amps
+    return out
+
+
+KERNEL_SYSTEMS = [(2, 5), (3, 4), (4, 4), (5, 3), (16, 3)]
+
+
+@pytest.mark.parametrize("d,n", KERNEL_SYSTEMS)
+def test_translation_matches_digit_reference(d, n):
+    psi = random_state(QuditSystem(n, d), Q, np.random.default_rng(d * 100 + n))
+    for target in range(n):
+        for amount in range(d):
+            got = apply_translation(psi, target, amount).amplitudes
+            ref = digit_reference(psi.amplitudes, d, n, target, (), lambda: amount)
+            assert np.array_equal(got, ref), (target, amount)
+
+
+@pytest.mark.parametrize("d,n", KERNEL_SYSTEMS)
+def test_controlled_add_matches_digit_reference(d, n):
+    psi = random_state(QuditSystem(n, d), Q, np.random.default_rng(d * 100 + n))
+    for control, target in itertools.permutations(range(n), 2):
+        for mult in range(d):
+            got = apply_controlled_add(psi, control, target, mult).amplitudes
+            ref = digit_reference(
+                psi.amplitudes, d, n, target, (control,), lambda c: mult * c
+            )
+            assert np.array_equal(got, ref), (control, target, mult)
+
+
+@pytest.mark.parametrize("d,n", KERNEL_SYSTEMS)
+def test_doubly_controlled_add_matches_digit_reference(d, n):
+    # every ordered (k_control, j_control, target): target before, between
+    # and after the controls, controls adjacent and apart, k above and below j
+    psi = random_state(QuditSystem(n, d), Q, np.random.default_rng(d * 100 + n))
+    for k, j, target in itertools.permutations(range(n), 3):
+        got = apply_doubly_controlled_add(psi, k, j, target).amplitudes
+        ref = digit_reference(
+            psi.amplitudes, d, n, target, (k, j), lambda ck, cj: ck * cj
+        )
+        assert np.array_equal(got, ref), (k, j, target)
+
+
+@pytest.mark.parametrize("d,n", KERNEL_SYSTEMS)
+def test_run_circuit_matches_digit_reference(d, n):
+    system = QuditSystem(n, d)
+    rng = np.random.default_rng(d * 100 + n + 1)
+    psi = random_state(system, Q, rng)
+    gates, expected = [], psi.amplitudes
+    for _ in range(30):
+        a, b, c = (int(w) for w in rng.choice(n, size=3, replace=False))
+        mult = int(rng.integers(d))
+        gates += [
+            Translation(a, mult),
+            ControlledAdd(a, b, mult),
+            DoublyControlledAdd(a, b, c),
+        ]
+        expected = digit_reference(expected, d, n, a, (), lambda: mult)
+        expected = digit_reference(expected, d, n, b, (a,), lambda x: mult * x)
+        expected = digit_reference(expected, d, n, c, (a, b), lambda x, y: x * y)
+    out = run_circuit(Circuit(system, tuple(gates)), psi)
+    assert np.array_equal(out.amplitudes, expected)
