@@ -2,7 +2,8 @@
 
 Everything here avoids materializing d**n x d**n operators: single-qudit
 matrices are contracted against one index of the reshaped amplitude tensor,
-and marginals sum the reshaped tensor over every other index.
+and marginals sum the reshaped tensor over every other index. apply_at also
+takes a (d**n, *batch) buffer whose columns are separate states.
 """
 
 from __future__ import annotations
@@ -13,10 +14,13 @@ import numpy as np
 def apply_at(
     amps: np.ndarray, d: int, n: int, wire: int, matrix: np.ndarray
 ) -> np.ndarray:
-    """Apply a d x d matrix to one qudit; O(d**(n+1)) time."""
-    arr = amps.reshape((d,) * n)
+    """Apply a d x d matrix to one qudit of every column; O(d**(n+1)) per column.
+
+    `amps` has shape (d**n, *batch); the result has the same shape.
+    """
+    arr = amps.reshape((d,) * n + amps.shape[1:])
     arr = np.moveaxis(np.tensordot(matrix, arr, axes=(1, wire)), 0, wire)
-    return arr.reshape(-1)
+    return arr.reshape(amps.shape)
 
 
 def apply_everywhere(

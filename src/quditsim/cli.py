@@ -268,6 +268,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         payload, code = args.handler(args)
+        text = dumps_canonical(payload)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -277,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    sys.stdout.write(dumps_canonical(payload) + "\n")
+    sys.stdout.write(text + "\n")
     return code
 
 

@@ -4,8 +4,9 @@ Translations, controlled adds and doubly controlled adds all add a function
 of the control digits to the target digit, mod d: basis permutations done by
 one gather over the reshaped amplitude tensor in O(d**n). Full gate matrices
 exist only inside the test oracle. Each gate class holds everything specific
-to its kind, and is validated when it and its Circuit are built. run_circuit
-passes one raw buffer from gate to gate and checks the norm after every
+to its kind, and is validated when it and its Circuit are built. Gates act on
+a raw (d**n, *batch) buffer whose columns are separate states; apply_gates
+passes one such buffer from gate to gate and checks the norm after every
 SingleQuditUnitary only, since the other gates merely reorder amplitudes.
 """
 
@@ -21,6 +22,8 @@ from .groups import QuditSystem
 from .states import (
     Representation,
     StateVector,
+    _pairs_from_json,
+    _pairs_to_json,
     check_norm,
     require_rep,
     system_from_dict,
@@ -39,10 +42,11 @@ def _add_to_digit(
 ) -> np.ndarray:
     """Add shift[control digits] to the target digit of every index, mod d.
 
+    `amps` has shape (d**n, *batch), and the result has the same shape.
     `shift` is a (d,)*len(controls) table with entries in [0, d), indexed by
     the control digits in the order given. Each run of other wires becomes
-    one axis, so the tensor has at most 7 axes, and one gather along the
-    target axis moves every amplitude.
+    one axis, so the tensor has at most 7 axes plus the batch axes, and one
+    gather along the target axis moves every amplitude.
     """
     wires = sorted((target, *controls))
     shape: list[int] = []
@@ -56,13 +60,15 @@ def _add_to_digit(
             axis[wire] = len(shape)
             shape.append(d)
             index_shape.append(d)
+    shape += amps.shape[1:]  # batch axes, gathered alike
+    index_shape += [1] * (amps.ndim - 1)
     # source target digit for each (control digits..., target digit)
     index = (np.arange(d) - shift[..., None]) % d
     index = index.transpose(np.argsort((*controls, target))).reshape(index_shape)
     arr = amps.reshape(shape)
     if not controls:  # the same gather in every slice; np.take is ~5x faster
-        return np.take(arr, index.reshape(-1), axis=axis[target]).reshape(-1)
-    return np.take_along_axis(arr, index, axis=axis[target]).reshape(-1)
+        return np.take(arr, index.reshape(-1), axis=axis[target]).reshape(amps.shape)
+    return np.take_along_axis(arr, index, axis=axis[target]).reshape(amps.shape)
 
 
 def _require_digit(name: str, value: int, d: int) -> None:
@@ -110,7 +116,7 @@ class _GateKind:
             _require_digit(name, getattr(self, name), d)
 
     def apply(self, amps: np.ndarray, d: int, n: int) -> np.ndarray:
-        """The gate's action on a raw q-rep amplitude buffer of length d**n."""
+        """The gate's action on a raw q-rep buffer of shape (d**n, *batch)."""
         *controls, target = self.wires
         return _add_to_digit(amps, d, n, target, tuple(controls), self.shift(d))
 
@@ -210,21 +216,15 @@ class SingleQuditUnitary(_GateKind):
         return out
 
     def to_dict(self) -> dict[str, Any]:
-        rows = [[[float(x.real), float(x.imag)] for x in row] for row in self.matrix]
-        return {"kind": self.kind, "target": self.target, "matrix": rows}
+        matrix = _pairs_to_json(self.matrix)
+        return {"kind": self.kind, "target": self.target, "matrix": matrix}
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any], index: int) -> SingleQuditUnitary:
         target = _int_field(doc, index, "target")
-        try:
-            pairs = np.array(_gate_field(doc, index, "matrix"), dtype=np.float64)
-        except (TypeError, ValueError):
-            pairs = np.empty(0)
-        if pairs.ndim != 3 or pairs.shape[2] != 2:
-            raise ValueError(
-                f"gate {index}: field 'matrix' must be rows of [re, im] pairs"
-            )
-        return cls(target=target, matrix=pairs.view(np.complex128)[..., 0])
+        matrix = _gate_field(doc, index, "matrix")
+        error = f"gate {index}: field 'matrix' must be rows of [re, im] pairs"
+        return cls(target=target, matrix=_pairs_from_json(matrix, 2, error))
 
 
 Gate = Union[Translation, ControlledAdd, DoublyControlledAdd, SingleQuditUnitary]
@@ -301,11 +301,16 @@ def run_circuit(circuit: Circuit, state: StateVector) -> StateVector:
             f" {circuit.system}"
         )
     require_rep(state, Representation.Q)
+    amps = apply_gates(circuit, state.amplitudes)
+    return StateVector(circuit.system, Representation.Q, amps)
+
+
+def apply_gates(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
+    """The circuit's gates, in order, on a raw (d**n, *batch) q-rep buffer."""
     d, n = circuit.system.d, circuit.system.n
-    amps = state.amplitudes
     for gate in circuit.gates:
         amps = gate.apply(amps, d, n)
-    return StateVector(circuit.system, Representation.Q, amps)
+    return amps
 
 
 def build_functional_circuit(
@@ -332,19 +337,12 @@ def build_functional_circuit(
 
 
 def circuit_unitary_oracle(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of the circuit, column by column from basis-state runs.
+    """Dense unitary: the gates applied to the identity, one batch of columns.
 
     Test oracle only; the dimension is capped at ORACLE_DIM_CAP.
     """
     circuit.system.require_oracle_dim()
-    dim = circuit.system.dim
-    matrix = np.zeros((dim, dim), dtype=np.complex128)
-    for col in range(dim):
-        e = np.zeros(dim, dtype=np.complex128)
-        e[col] = 1.0
-        start = StateVector(circuit.system, Representation.Q, e)
-        matrix[:, col] = run_circuit(circuit, start).amplitudes
-    return matrix
+    return apply_gates(circuit, np.eye(circuit.system.dim, dtype=np.complex128))
 
 
 def circuit_to_dict(circuit: Circuit) -> dict[str, Any]:

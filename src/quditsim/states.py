@@ -46,8 +46,12 @@ class StateVector:
 
 
 def check_norm(amps: np.ndarray) -> None:
-    """Reject non-finite amplitudes and squared norms off 1 by more than NORM_TOL."""
-    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    """Reject non-finite amplitudes and squared norms off 1 by more than NORM_TOL.
+
+    Checks every column of a (d**n, *batch) buffer and reports the worst one.
+    """
+    norm_sq = np.sum(np.abs(amps) ** 2, axis=0)
+    norm_sq = float(norm_sq.flat[np.argmax(np.abs(norm_sq - 1.0))])  # NaN ranks first
     if not math.isfinite(norm_sq):
         raise ValueError(f"state has non-finite amplitudes: sum |a|^2 = {norm_sq!r}")
     if abs(norm_sq - 1.0) > NORM_TOL:
@@ -131,8 +135,24 @@ def state_to_dict(state: StateVector) -> dict[str, Any]:
         "n": state.system.n,
         "d": state.system.d,
         "rep": state.rep.value,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
+        "amplitudes": _pairs_to_json(state.amplitudes),
     }
+
+
+def _pairs_to_json(values: np.ndarray) -> list[Any]:
+    """Complex array as nested lists of [re, im] Python float pairs."""
+    return np.stack((values.real, values.imag), axis=-1).tolist()
+
+
+def _pairs_from_json(value: Any, ndim: int, error: str) -> np.ndarray:
+    """Complex `ndim`-dimensional array from nested [re, im] pairs of numbers."""
+    try:
+        pairs = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(error) from None
+    if pairs.ndim != ndim + 1 or pairs.shape[-1] != 2:
+        raise ValueError(error)
+    return pairs.view(np.complex128)[..., 0]
 
 
 def system_from_dict(doc: Any, what: str, keys: tuple[str, ...]) -> QuditSystem:
@@ -160,9 +180,5 @@ def state_from_dict(doc: Any) -> StateVector:
             f"expected {system.dim} amplitude pairs,"
             f" got {len(pairs) if isinstance(pairs, list) else type(pairs).__name__}"
         )
-    amps = np.empty(system.dim, dtype=np.complex128)
-    for i, pair in enumerate(pairs):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError(f"amplitude {i} must be a [re, im] pair")
-        amps[i] = complex(float(pair[0]), float(pair[1]))
+    amps = _pairs_from_json(pairs, 1, "amplitudes must be [re, im] pairs of numbers")
     return StateVector(system, rep, amps)

@@ -8,6 +8,7 @@ so the report contents depend only on (d, n, seed).
 
 from __future__ import annotations
 
+import operator
 from typing import Any
 
 import numpy as np
@@ -35,6 +36,7 @@ from .gates import (
     Gate,
     SingleQuditUnitary,
     Translation,
+    apply_gates,
     build_functional_circuit,
     circuit_unitary_oracle,
     run_circuit,
@@ -49,7 +51,7 @@ from .groups import (
     index_to_label,
     is_prime,
 )
-from .states import Representation, StateVector, basis_state, random_state
+from .states import Representation, basis_state, random_state
 
 DEFAULT_SEED = 0
 
@@ -60,6 +62,7 @@ _EXHAUSTIVE_DIM_CAP = 81
 _FACTORIZATION_DIM_CAP = 256
 _FUNCTIONAL_CASE_CAP = 2048
 _FUNCTIONAL_DIM_CAP = 2**20
+_COMPARISONS = {"<": operator.lt, ">": operator.gt}
 
 # Hand-enumerated 2-qutrit partition tables used as a fixed regression
 # reference when verifying d=3, n=2.
@@ -72,18 +75,12 @@ _QUTRIT_REFERENCE_PARTITIONS = {
 def _check(
     name: str, measured: float, tolerance: float, comparison: str
 ) -> dict[str, Any]:
-    if comparison == "<":
-        ok = measured < tolerance
-    elif comparison == ">":
-        ok = measured > tolerance
-    else:
-        raise ValueError(f"unknown comparison {comparison!r}")
     return {
         "name": name,
         "measured": float(measured),
         "tolerance": float(tolerance),
         "comparison": comparison,
-        "pass": bool(ok),
+        "pass": bool(_COMPARISONS[comparison](measured, tolerance)),
     }
 
 
@@ -99,31 +96,20 @@ def _functional_size(d: int, n: int) -> int:
 
 
 def _random_gate(rng: np.random.Generator, n: int, d: int) -> Gate:
-    kinds = ["translation", "unitary"]
-    if n >= 2:
-        kinds.append("cadd")
-    if n >= 3:
-        kinds.append("ccadd")
-    kind = kinds[int(rng.integers(len(kinds)))]
-    if kind == "translation":
-        return Translation(
-            target=int(rng.integers(n)), amount=int(rng.integers(d))
-        )
-    if kind == "cadd":
-        control, target = rng.choice(n, size=2, replace=False)
-        return ControlledAdd(
-            control=int(control),
-            target=int(target),
-            multiplier=int(rng.integers(d)),
-        )
-    if kind == "ccadd":
-        kc, jc, target = rng.choice(n, size=3, replace=False)
-        return DoublyControlledAdd(
-            k_control=int(kc), j_control=int(jc), target=int(target)
-        )
-    gaussian = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, _ = np.linalg.qr(gaussian)
-    return SingleQuditUnitary(target=int(rng.integers(n)), matrix=q)
+    # The first two classes fit any n; the controlled adds need 2 and 3 wires.
+    kinds = (Translation, SingleQuditUnitary, ControlledAdd, DoublyControlledAdd)
+    kind = kinds[int(rng.integers(min(n + 1, len(kinds))))]
+    if kind is SingleQuditUnitary:
+        gaussian = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        q, _ = np.linalg.qr(gaussian)
+        return SingleQuditUnitary(target=int(rng.integers(n)), matrix=q)
+    if kind is Translation:
+        wires = [rng.integers(n)]
+    else:
+        wires = rng.choice(n, size=len(kind.wire_fields), replace=False)
+    digits = [rng.integers(d) for _ in kind.digit_fields]
+    names = kind.wire_fields + kind.digit_fields
+    return kind(**{name: int(v) for name, v in zip(names, [*wires, *digits])})
 
 
 def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]:
@@ -160,16 +146,28 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
     checks.append(_check("fourier_norm_preservation", norm_dev, 1e-12, "<"))
 
     labels = enumerate_labels(system)
-    dev = 0.0
-    for k in labels:
-        direct = planewave(k).amplitudes
+    oracle = dense_fourier_oracle(system)
+    kq = k_observable_in_q_rep(d).matrix
+    transform_dev = oracle_dev = eigen_dev = 0.0
+    waves = []
+    # Per label, not one batch over np.eye(dim): a batched tensordot rounds
+    # differently from per-vector calls, which would change measured values.
+    for col, k in enumerate(labels):
+        wave = planewave(k).amplitudes
         transformed = to_q_rep(basis_state(k, Representation.K)).amplitudes
-        dev = max(dev, float(np.max(np.abs(direct - transformed))))
-    checks.append(_check("planewave_matches_transform", dev, 1e-12, "<"))
+        transform_dev = max(transform_dev, float(np.max(np.abs(wave - transformed))))
+        if dim <= _FACTORIZATION_DIM_CAP:
+            column_dev = float(np.max(np.abs(transformed - oracle[:, col])))
+            oracle_dev = max(oracle_dev, column_dev)
+        if dim <= _EXHAUSTIVE_DIM_CAP:
+            waves.append(wave)
+            for wire, kj in enumerate(k.digits):
+                acted = apply_at(wave, d, n, wire, kq)
+                eigen_dev = max(eigen_dev, float(np.max(np.abs(acted - kj * wave))))
+    checks.append(_check("planewave_matches_transform", transform_dev, 1e-12, "<"))
 
     if dim <= _EXHAUSTIVE_DIM_CAP:
-        waves = np.array([planewave(k).amplitudes for k in labels])
-        gram = waves.conj() @ waves.T
+        gram = np.array(waves).conj() @ np.array(waves).T
         checks.append(
             _check(
                 "planewave_orthonormality",
@@ -179,7 +177,6 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
             )
         )
 
-    oracle = dense_fourier_oracle(system)
     checks.append(
         _check(
             "dense_oracle_unitary",
@@ -189,11 +186,7 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
         )
     )
     if dim <= _FACTORIZATION_DIM_CAP:
-        dev = 0.0
-        for col, k in enumerate(labels):
-            tensor_col = to_q_rep(basis_state(k, Representation.K)).amplitudes
-            dev = max(dev, float(np.max(np.abs(tensor_col - oracle[:, col]))))
-        checks.append(_check("transform_matches_dense_oracle", dev, 1e-12, "<"))
+        checks.append(_check("transform_matches_dense_oracle", oracle_dev, 1e-12, "<"))
 
     if d * d <= ORACLE_DIM_CAP:
         pair = QuditSystem(2, d)
@@ -202,40 +195,39 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
             got = circuit_unitary_oracle(
                 Circuit(pair, (ControlledAdd(0, 1, mult),))
             )
-            expected = np.zeros_like(got)
+            # subtract the expected blocks in place: no second dense matrix
             for j in range(d):
                 block = translation_gate_matrix(d, (mult * j) % d)
-                expected[j * d : (j + 1) * d, j * d : (j + 1) * d] = block
-            dev = max(dev, float(np.max(np.abs(got - expected))))
+                got[j * d : (j + 1) * d, j * d : (j + 1) * d] -= block
+            dev = max(dev, float(np.max(np.abs(got))))
         checks.append(_check("controlled_add_block_structure", dev, 1e-12, "<"))
 
     m = _functional_size(d, n)
     circuit, _layout = build_functional_circuit(m, d)
-    sub = QuditSystem(m, d)
-    sub_labels = enumerate_labels(sub)
+    sub_labels = enumerate_labels(QuditSystem(m, d))
+    classes = {k: partition(k).classes for k in sub_labels}
+    cases = [(k, q) for k in sub_labels for q in sub_labels]
+    # Case i starts in |k, q, 0>, at flat index i * d. The cases run as the
+    # columns of batches of at most _FUNCTIONAL_DIM_CAP amplitudes; one batch
+    # per k would grow as d**4 once m is held at 1 (268 MB at d = 64).
+    width = max(1, _FUNCTIONAL_DIM_CAP // circuit.system.dim)
     func_dev = 0.0
     partition_mismatches = 0
-    for k in sub_labels:
-        classes = partition(k).classes
-        for q in sub_labels:
-            amps = np.zeros(circuit.system.dim, dtype=np.complex128)
-            start_idx = 0
-            for digit in k.digits + q.digits + (0,):
-                start_idx = start_idx * d + digit
-            amps[start_idx] = 1.0
-            out = run_circuit(
-                circuit, StateVector(circuit.system, Representation.Q, amps)
-            )
-            expected = np.zeros_like(amps)
-            expected[start_idx + dot_mod(k, q)] = 1.0
-            func_dev = max(
-                func_dev, float(np.max(np.abs(out.amplitudes - expected)))
-            )
-            # The circuit's own holder outcome, cross-checked against the
-            # partition classes through an independent code path.
-            holder = int(np.argmax(np.abs(out.amplitudes))) % d
-            if q not in classes[holder]:
-                partition_mismatches += 1
+    for first in range(0, len(cases), width):
+        batch = cases[first : first + width]
+        cols = np.arange(len(batch))
+        starts = (first + cols) * d
+        amps = np.zeros((circuit.system.dim, len(batch)), dtype=np.complex128)
+        amps[starts, cols] = 1.0
+        out = apply_gates(circuit, amps)
+        # The circuit's own holder outcomes, cross-checked against the
+        # partition classes through an independent code path.
+        holders = np.argmax(np.abs(out), axis=0) % d
+        partition_mismatches += sum(
+            q not in classes[k][holder] for (k, q), holder in zip(batch, holders)
+        )
+        out[starts + [dot_mod(k, q) for k, q in batch], cols] -= 1.0
+        func_dev = max(func_dev, float(np.max(np.abs(out))))
     checks.append(_check("functional_circuit_exhaustive", func_dev, 1e-12, "<"))
     checks.append(
         _check("partition_matches_circuit", float(partition_mismatches), 0.5, "<")
@@ -260,7 +252,6 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
         )
     )
 
-    kq = k_observable_in_q_rep(d).matrix
     checks.append(
         _check(
             "wavenumber_observable_hermitian",
@@ -279,18 +270,7 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
     )
 
     if dim <= _EXHAUSTIVE_DIM_CAP:
-        dev = 0.0
-        for k in labels:
-            wave = planewave(k)
-            for wire in range(n):
-                acted = apply_at(wave.amplitudes, d, n, wire, kq)
-                dev = max(
-                    dev,
-                    float(
-                        np.max(np.abs(acted - k.digits[wire] * wave.amplitudes))
-                    ),
-                )
-        checks.append(_check("planewave_eigenstate_relation", dev, 1e-10, "<"))
+        checks.append(_check("planewave_eigenstate_relation", eigen_dev, 1e-10, "<"))
 
     checks.append(_check("commutator_nonzero", commutator_qk(d)[1], 0.1, ">"))
 

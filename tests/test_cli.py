@@ -463,3 +463,44 @@ def test_transform_rejects_nan_amplitude(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     assert out == ""
     assert "non-finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "element",
+    ["{}", "null", "1" + "0" * 399],
+    ids=["object", "null", "400-digit-integer"],
+)
+def test_transform_rejects_non_number_amplitude(tmp_path, capsys, element):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        f'{{"n": 1, "d": 2, "rep": "q", "amplitudes": [[{element}, 0], [1, 0]]}}'
+    )
+    code, out, err = invoke(capsys, ["transform", "--in", str(path), "--to", "k"])
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_transform_accepts_what_float_accepts(tmp_path, capsys):
+    path = tmp_path / "lax.json"
+    path.write_text(
+        '{"n": 1, "d": 2, "rep": "q", "amplitudes": [["1", 0], [0, false]]}'
+    )
+    code, out, err = invoke(capsys, ["transform", "--in", str(path), "--to", "q"])
+    assert code == EXIT_OK, err
+    assert out == '{"n": 1, "d": 2, "rep": "q", "amplitudes": [[1, 0], [0, 0]]}\n'
+
+
+def test_non_finite_payload_exits_2(monkeypatch, capsys):
+    import quditsim.cli as cli
+
+    check = {"name": "x", "measured": math.nan, "tolerance": 1.0,
+             "comparison": "<", "pass": True}
+    monkeypatch.setattr(
+        cli, "run_verification",
+        lambda d, n, seed: {"d": d, "n": n, "checks": [check], "all_pass": True},
+    )
+    code, out, err = invoke(capsys, ["verify", "--d", "2", "--n", "1"])
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "non-finite" in err and err.count("\n") == 1

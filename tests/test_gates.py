@@ -302,18 +302,53 @@ def test_single_qudit_unitary_gate_matches_matrix():
 
 
 def test_circuit_unitary_oracle_properties():
-    system = QuditSystem(2, 3)
-    circuit = Circuit(
-        system, (ControlledAdd(0, 1, 2), Translation(1, 1))
-    )
-    oracle = circuit_unitary_oracle(circuit)
-    assert np.max(np.abs(oracle @ oracle.conj().T - np.eye(9))) < 1e-11
+    circuits = [
+        Circuit(QuditSystem(2, 3), (ControlledAdd(0, 1, 2), Translation(1, 1))),
+        Circuit(
+            QuditSystem(3, 2),
+            (
+                ControlledAdd(0, 1, 1),
+                SingleQuditUnitary(2, single_qudit_fourier(2)),
+                DoublyControlledAdd(2, 0, 1),
+                Translation(1, 1),
+            ),
+        ),
+    ]
     rng = np.random.default_rng(59)
-    for _ in range(10):
-        psi = random_state(system, Q, rng)
-        assert np.max(
-            np.abs(oracle @ psi.amplitudes - run_circuit(circuit, psi).amplitudes)
-        ) < 1e-12
+    for circuit in circuits:
+        system = circuit.system
+        oracle = circuit_unitary_oracle(circuit)
+        assert np.max(np.abs(oracle @ oracle.conj().T - np.eye(system.dim))) < 1e-11
+        for _ in range(10):
+            psi = random_state(system, Q, rng)
+            assert np.max(
+                np.abs(oracle @ psi.amplitudes - run_circuit(circuit, psi).amplitudes)
+            ) < 1e-12
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (16, 2)])
+def test_gates_on_a_batch_match_per_column_calls(d, n):
+    rng = np.random.default_rng(d * 10 + n)
+    gaussian = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    gates = [
+        Translation(n - 1, 1),
+        ControlledAdd(0, n - 1, d - 1),
+        SingleQuditUnitary(0, np.linalg.qr(gaussian)[0]),
+    ]
+    if n >= 3:
+        gates.append(DoublyControlledAdd(2, 0, 1))
+    dim = d**n
+    batch = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+    batch /= np.linalg.norm(batch, axis=0)
+    for gate in gates:
+        out = gate.apply(batch, d, n)
+        assert out.shape == (dim, 3)
+        for col in range(3):
+            expected = gate.apply(batch[:, col].copy(), d, n)
+            if isinstance(gate, SingleQuditUnitary):
+                assert np.max(np.abs(out[:, col] - expected)) < 1e-12
+            else:
+                assert np.array_equal(out[:, col], expected)
 
 
 def test_circuit_unitary_oracle_cap():

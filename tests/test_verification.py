@@ -38,3 +38,62 @@ def test_deterministic_given_seed():
 def test_dimension_cap():
     with pytest.raises(ValueError, match="dimension"):
         run_verification(2, 13)
+
+
+BASE_CHECKS = [
+    "single_qudit_fourier_unitary",
+    "fourier_round_trip",
+    "fourier_norm_preservation",
+    "planewave_matches_transform",
+    "planewave_orthonormality",
+    "dense_oracle_unitary",
+    "transform_matches_dense_oracle",
+    "controlled_add_block_structure",
+    "functional_circuit_exhaustive",
+    "partition_matches_circuit",
+    "translation_identity",
+    "wavenumber_observable_hermitian",
+    "wavenumber_observable_spectrum",
+    "planewave_eigenstate_relation",
+    "commutator_nonzero",
+    "entropy_sum_positive",
+    "entropy_extremes",
+    "random_circuit_norm_drift",
+]
+QUTRIT_PAIR_CHECKS = (
+    BASE_CHECKS[:10] + ["qutrit_reference_partitions"] + BASE_CHECKS[10:]
+)
+# Above 81 amplitudes the two exhaustive planewave checks drop out, and above
+# 256 the tensor-versus-oracle comparison does too.
+ABOVE_EXHAUSTIVE_CAP = [
+    name for name in BASE_CHECKS
+    if name not in ("planewave_orthonormality", "planewave_eigenstate_relation")
+]
+ABOVE_FACTORIZATION_CAP = [
+    name for name in ABOVE_EXHAUSTIVE_CAP if name != "transform_matches_dense_oracle"
+]
+
+
+@pytest.mark.parametrize(
+    "d,n,names",
+    [
+        (2, 1, BASE_CHECKS),
+        (3, 2, QUTRIT_PAIR_CHECKS),
+        (2, 3, BASE_CHECKS),
+        (4, 3, BASE_CHECKS),
+        (2, 7, ABOVE_EXHAUSTIVE_CAP),
+        (2, 9, ABOVE_FACTORIZATION_CAP),
+    ],
+)
+def test_check_names_in_order(d, n, names):
+    checks = run_verification(d, n)["checks"]
+    assert [c["name"] for c in checks] == names
+    assert len(checks) == len(names)
+    # permutation gates on basis states: no rounding at all
+    measured = {c["name"]: c["measured"] for c in checks}
+    for name in (
+        "functional_circuit_exhaustive",
+        "partition_matches_circuit",
+        "controlled_add_block_structure",
+    ):
+        assert measured[name] == 0.0
