@@ -15,7 +15,14 @@ from quditsim import (
     planewave,
     state_to_dict,
 )
-from quditsim.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from quditsim.cli import (
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VALIDATION,
+    dumps_canonical,
+    main,
+)
 
 
 def invoke(capsys, argv):
@@ -383,6 +390,20 @@ GOLDEN_RUN_SHA256 = {
     (16, 3): "af645ed86937e77c699e5019ec316e9892ee2d142c37c7e323d547231da97f4d",
 }
 
+# sha256 of stdout for exact outputs (ket strings, 0 and 1): no digit depends
+# on BLAS or libm. Pins the serializer's bytes across refactors.
+GOLDEN_PARTITION_SHA256 = {
+    (3, "2,0,1,1"): "267f98abee76a99113a2650e486c23845dc7e182d8eb4e46df66c94cdd5b5448",
+    (12, "5,7"): "bdf3d3629663151be008463df3423b08803a3c86f5a605884d618d46794be2cf",
+    (2, "1,0,1,1,1"): "c377148c8859d5003c8cfca6d2b31171ee794fb1c0e3de92d78a168dbec4f56a",
+}
+# (d, handler basis digits, sources) -> sha256 of `quditsim functional` stdout
+GOLDEN_FUNCTIONAL_SHA256 = {
+    (3, (2, 1), "1,2"): "fcf7d8628fa7366564c97f10aeb7430faa921b6ec187909266d81c4b8a2dab0a",
+    (5, (4, 3), "2,4"): "02174495abcb26b83f4f23d5c44d983597c2f7284e2d626e44d818491be05707",
+    (2, (1,), "1"): "4c5989b12bbc100e1c482397b99cbcae2e32ea1c3060d52d57966eef91ec773a",
+}
+
 
 def golden_run_files(tmp_path, d, n, seed, count=40):
     """Seeded state and four-kind circuit files whose run output is exact.
@@ -504,3 +525,48 @@ def test_non_finite_payload_exits_2(monkeypatch, capsys):
     assert code == EXIT_VALIDATION
     assert out == ""
     assert "non-finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("d,k", sorted(GOLDEN_PARTITION_SHA256))
+def test_partition_stdout_matches_golden_sha256(capsys, d, k):
+    n = str(len(k.split(",")))
+    code, out, err = invoke(capsys, ["partition", "--n", n, "--d", str(d), "--k", k])
+    assert code == EXIT_OK, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PARTITION_SHA256[(d, k)]
+
+
+@pytest.mark.parametrize("d,handlers,sources", sorted(GOLDEN_FUNCTIONAL_SHA256))
+def test_functional_stdout_matches_golden_sha256(tmp_path, capsys, d, handlers, sources):
+    path = write_state(tmp_path, "handlers.json", basis(handlers, d))
+    code, out, err = invoke(
+        capsys, ["functional", "--d", str(d), "--handlers", path, "--sources", sources]
+    )
+    assert code == EXIT_OK, err
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == GOLDEN_FUNCTIONAL_SHA256[(d, handlers, sources)]
+
+
+def test_dumps_canonical_literal_bytes():
+    payload = {
+        "floats": [0.1, 1.0, -0.0, 5e-324, 1e300, np.float64(0.25), -2.5],
+        "scalars": [True, False, None, -7, 0],
+        3: 'q"é',
+        "nested": (1, (2.5, []), {}),
+    }
+    assert dumps_canonical(payload) == (
+        '{"floats": [0.10000000000000001, 1, -0, 4.9406564584124654e-324, '
+        '1.0000000000000001e+300, 0.25, -2.5], '
+        '"scalars": [true, false, null, -7, 0], '
+        '"3": "q\\"\\u00e9", '
+        '"nested": [1, [2.5, []], {}]}'
+    )
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")],
+)
+def test_dumps_canonical_rejects_non_finite(value, text):
+    with pytest.raises(ValueError) as info:
+        dumps_canonical({"checks": [[0.5, value]]})
+    assert str(info.value) == f"non-finite float {text} in payload"
