@@ -23,16 +23,6 @@ def apply_at(
     return arr.reshape(amps.shape)
 
 
-def apply_everywhere(
-    amps: np.ndarray, d: int, n: int, matrix: np.ndarray
-) -> np.ndarray:
-    """Apply the same d x d matrix to every qudit in sequence."""
-    arr = amps.reshape((d,) * n)
-    for wire in range(n):
-        arr = np.moveaxis(np.tensordot(matrix, arr, axes=(1, wire)), 0, wire)
-    return arr.reshape(-1)
-
-
 def wire_marginal(probs: np.ndarray, d: int, n: int, wire: int) -> np.ndarray:
     """Distribution of one wire's digit, from flat basis probabilities."""
     axes = tuple(a for a in range(n) if a != wire)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any
 
@@ -53,50 +54,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _format_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError(f"non-finite float {x!r} in payload")
-    return format(x, ".17g")
-
-
-def _emit(obj: Any, out: list[str]) -> None:
-    if obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(", ")
-            _emit(item, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _emit(value, out)
-        out.append("}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _emit(obj: Any) -> str:
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite float {obj!r} in payload")
+        return format(obj, ".17g")
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_emit, obj)) + "]"
+    if isinstance(obj, dict):
+        items = (f"{json.dumps(str(k))}: {_emit(v)}" for k, v in obj.items())
+        return "{" + ", ".join(items) + "}"
+    return json.dumps(obj)
 
 
 def dumps_canonical(obj: Any) -> str:
     """Deterministic JSON: insertion-ordered keys, 17-digit floats."""
-    out: list[str] = []
-    _emit(obj, out)
-    return "".join(out)
+    return _emit(obj)
 
 
 def _load_json(path: str) -> Any:
@@ -167,7 +140,7 @@ def _cmd_functional(args: argparse.Namespace) -> tuple[Any, int]:
     )
     return {
         "state": state_to_dict(out),
-        "holder_probabilities": [float(p) for p in holder_probs],
+        "holder_probabilities": holder_probs.tolist(),
     }, EXIT_OK
 
 
@@ -187,11 +160,9 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[Any, int]:
         "n": state.system.n,
         "d": state.system.d,
         "input_rep": input_rep,
-        "expect_q": [float(x) for x in expect_q(state)],
-        "expect_k": [float(x) for x in expect_k(state)],
-        "k_distributions": [
-            [float(p) for p in row] for row in k_distributions(state)
-        ],
+        "expect_q": expect_q(state).tolist(),
+        "expect_k": expect_k(state).tolist(),
+        "k_distributions": k_distributions(state).tolist(),
         "entropy": entropy_to_dict(report),
         "d_is_prime": is_prime(state.system.d),
     }, EXIT_OK
@@ -277,6 +248,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_VALIDATION
     sys.stdout.write(text + "\n")
     return code

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._tensor import apply_everywhere
+from ._tensor import apply_at
 from .groups import DigitLabel, QuditSystem, enumerate_labels
 from .states import Representation, StateVector, require_rep
 
@@ -25,21 +25,27 @@ def single_qudit_fourier(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * exponents / d) / np.sqrt(d)
 
 
+def _apply_per_qudit(
+    state: StateVector, source: Representation, target: Representation, f: np.ndarray
+) -> StateVector:
+    require_rep(state, source)
+    d, n = state.system.d, state.system.n
+    amps = state.amplitudes
+    for wire in range(n):
+        amps = apply_at(amps, d, n, wire, f)
+    return StateVector(state.system, target, amps)
+
+
 def to_q_rep(phi: StateVector) -> StateVector:
     """Transform a k-rep state to the q-representation (F on every qudit)."""
-    require_rep(phi, Representation.K)
-    d, n = phi.system.d, phi.system.n
-    amps = apply_everywhere(phi.amplitudes, d, n, single_qudit_fourier(d))
-    return StateVector(phi.system, Representation.Q, amps)
+    f = single_qudit_fourier(phi.system.d)
+    return _apply_per_qudit(phi, Representation.K, Representation.Q, f)
 
 
 def to_k_rep(psi: StateVector) -> StateVector:
     """Transform a q-rep state to the k-representation (F dagger per qudit)."""
-    require_rep(psi, Representation.Q)
-    d, n = psi.system.d, psi.system.n
-    f_dag = single_qudit_fourier(d).conj().T
-    amps = apply_everywhere(psi.amplitudes, d, n, f_dag)
-    return StateVector(psi.system, Representation.K, amps)
+    f_dag = single_qudit_fourier(psi.system.d).conj().T
+    return _apply_per_qudit(psi, Representation.Q, Representation.K, f_dag)
 
 
 def planewave(k: DigitLabel) -> StateVector:

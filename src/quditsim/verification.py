@@ -85,14 +85,17 @@ def _check(
 
 
 def _functional_size(d: int, n: int) -> int:
-    """Largest m <= n keeping the exhaustive handler/source table affordable."""
+    """Largest m <= n keeping the exhaustive handler/source table affordable.
+
+    0 when even m = 1 exceeds a cap (d >= 46); the table is then left out.
+    """
     m = 0
     for cand in range(1, n + 1):
         if d ** (2 * cand) <= _FUNCTIONAL_CASE_CAP and (
             d ** (2 * cand + 1) <= _FUNCTIONAL_DIM_CAP
         ):
             m = cand
-    return max(m, 1)
+    return m
 
 
 def _random_gate(rng: np.random.Generator, n: int, d: int) -> Gate:
@@ -203,35 +206,35 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
         checks.append(_check("controlled_add_block_structure", dev, 1e-12, "<"))
 
     m = _functional_size(d, n)
-    circuit, _layout = build_functional_circuit(m, d)
-    sub_labels = enumerate_labels(QuditSystem(m, d))
-    classes = {k: partition(k).classes for k in sub_labels}
-    cases = [(k, q) for k in sub_labels for q in sub_labels]
-    # Case i starts in |k, q, 0>, at flat index i * d. The cases run as the
-    # columns of batches of at most _FUNCTIONAL_DIM_CAP amplitudes; one batch
-    # per k would grow as d**4 once m is held at 1 (268 MB at d = 64).
-    width = max(1, _FUNCTIONAL_DIM_CAP // circuit.system.dim)
-    func_dev = 0.0
-    partition_mismatches = 0
-    for first in range(0, len(cases), width):
-        batch = cases[first : first + width]
-        cols = np.arange(len(batch))
-        starts = (first + cols) * d
-        amps = np.zeros((circuit.system.dim, len(batch)), dtype=np.complex128)
-        amps[starts, cols] = 1.0
-        out = apply_gates(circuit, amps)
-        # The circuit's own holder outcomes, cross-checked against the
-        # partition classes through an independent code path.
-        holders = np.argmax(np.abs(out), axis=0) % d
-        partition_mismatches += sum(
-            q not in classes[k][holder] for (k, q), holder in zip(batch, holders)
+    if m:
+        circuit, _layout = build_functional_circuit(m, d)
+        sub_labels = enumerate_labels(QuditSystem(m, d))
+        classes = {k: partition(k).classes for k in sub_labels}
+        cases = [(k, q) for k in sub_labels for q in sub_labels]
+        # Case i starts in |k, q, 0>, at flat index i * d. The cases run as the
+        # columns of batches of at most _FUNCTIONAL_DIM_CAP amplitudes.
+        width = _FUNCTIONAL_DIM_CAP // circuit.system.dim
+        func_dev = 0.0
+        partition_mismatches = 0
+        for first in range(0, len(cases), width):
+            batch = cases[first : first + width]
+            cols = np.arange(len(batch))
+            starts = (first + cols) * d
+            amps = np.zeros((circuit.system.dim, len(batch)), dtype=np.complex128)
+            amps[starts, cols] = 1.0
+            out = apply_gates(circuit, amps)
+            # The circuit's own holder outcomes, cross-checked against the
+            # partition classes through an independent code path.
+            holders = np.argmax(np.abs(out), axis=0) % d
+            partition_mismatches += sum(
+                q not in classes[k][holder] for (k, q), holder in zip(batch, holders)
+            )
+            out[starts + [dot_mod(k, q) for k, q in batch], cols] -= 1.0
+            func_dev = max(func_dev, float(np.max(np.abs(out))))
+        checks.append(_check("functional_circuit_exhaustive", func_dev, 1e-12, "<"))
+        checks.append(
+            _check("partition_matches_circuit", float(partition_mismatches), 0.5, "<")
         )
-        out[starts + [dot_mod(k, q) for k, q in batch], cols] -= 1.0
-        func_dev = max(func_dev, float(np.max(np.abs(out))))
-    checks.append(_check("functional_circuit_exhaustive", func_dev, 1e-12, "<"))
-    checks.append(
-        _check("partition_matches_circuit", float(partition_mismatches), 0.5, "<")
-    )
 
     if d == 3 and n == 2:
         mismatches = 0

@@ -570,3 +570,25 @@ def test_dumps_canonical_rejects_non_finite(value, text):
     with pytest.raises(ValueError) as info:
         dumps_canonical({"checks": [[0.5, value]]})
     assert str(info.value) == f"non-finite float {text} in payload"
+
+
+@pytest.mark.parametrize(
+    "exc,message",
+    [
+        (MemoryError(), "out of memory"),
+        (MemoryError("Unable to allocate 8.00 TiB"), "Unable to allocate 8.00 TiB"),
+    ],
+)
+def test_memory_error_exits_2(monkeypatch, capsys, exc, message):
+    import quditsim.cli as cli
+
+    def too_large(label):
+        raise exc
+
+    monkeypatch.setattr(cli, "planewave", too_large)
+    code, out, err = invoke(
+        capsys, ["planewave", "--n", "40", "--d", "2", "--k", ",".join("0" * 40)]
+    )
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err == f"error: {message}\n"

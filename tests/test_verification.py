@@ -1,5 +1,6 @@
 import pytest
 
+import quditsim.verification as verification
 from quditsim import run_verification
 
 
@@ -97,3 +98,18 @@ def test_check_names_in_order(d, n, names):
         "controlled_add_block_structure",
     ):
         assert measured[name] == 0.0
+
+
+@pytest.mark.parametrize("d,n,m", [(45, 1, 1), (46, 1, 0), (64, 1, 0)])
+def test_functional_size_is_zero_when_no_table_fits(d, n, m):
+    # d**2 handler/source cases exceed the case cap from d = 46 on
+    assert verification._functional_size(d, n) == m
+
+
+def test_functional_checks_drop_out_without_affordable_size(monkeypatch):
+    monkeypatch.setattr(verification, "_functional_size", lambda d, n: 0)
+    names = [c["name"] for c in run_verification(2, 1)["checks"]]
+    assert names == [
+        name for name in BASE_CHECKS
+        if name not in ("functional_circuit_exhaustive", "partition_matches_circuit")
+    ]
