@@ -121,6 +121,17 @@ def test_planewave_qutrit_amplitude():
     assert wave.amplitudes[5] == pytest.approx(np.exp(2j * np.pi / 3) / 3)
 
 
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (4, 2), (6, 2)])
+def test_planewave_bitwise_from_dot_mod(d, n):
+    # Pins the exact float bytes: the phase index is k.q mod d per label.
+    system = QuditSystem(n, d)
+    labels = enumerate_labels(system)
+    for k in labels:
+        phases = np.array([dot_mod(k, q) for q in labels])
+        expected = np.exp(2j * np.pi * phases / d) / np.sqrt(system.dim)
+        assert np.array_equal(planewave(k).amplitudes, expected)
+
+
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (4, 1), (6, 1), (9, 1)])
 def test_planewave_matches_transform_exhaustive(d, n):
     system = QuditSystem(n, d)
