@@ -17,7 +17,7 @@ import numpy as np
 from ._tensor import apply_at, wire_marginal
 from .fourier import single_qudit_fourier, to_k_rep
 from .gates import translation_gate_matrix
-from .groups import DigitLabel, dot_mod, enumerate_labels
+from .groups import DigitLabel, enumerate_labels, functional_values, require_index
 from .states import Representation, StateVector, probabilities, require_rep
 
 
@@ -138,8 +138,7 @@ def entropies(state: StateVector, base: float | None = None) -> EntropyReport:
 
 def translation_operator_k_rep(d: int, q: int) -> np.ndarray:
     """diag(exp(-2*pi*i*m*q/d)) for m = 0..d-1: the shift gate in the k-rep."""
-    if not 0 <= q < d:
-        raise ValueError(f"shift {q} outside [0, {d})")
+    require_index("shift", q, d)
     phases = (np.arange(d) * q) % d
     return np.diag(np.exp(-2j * np.pi * phases / d))
 
@@ -159,8 +158,8 @@ def verify_translation_identity(d: int, q: int) -> float:
 def partition(k: DigitLabel) -> Partition:
     """Split all basis labels into d classes by the value of k.q mod d."""
     classes: list[list[DigitLabel]] = [[] for _ in range(k.system.d)]
-    for q in enumerate_labels(k.system):
-        classes[dot_mod(k, q)].append(q)
+    for q, value in zip(enumerate_labels(k.system), functional_values(k).tolist()):
+        classes[value].append(q)
     return Partition(k, tuple(tuple(c) for c in classes))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._tensor import apply_at
-from .groups import DigitLabel, QuditSystem, enumerate_labels
+from .groups import DigitLabel, QuditSystem, enumerate_labels, functional_values
 from .states import Representation, StateVector, require_rep
 
 
@@ -54,14 +54,8 @@ def planewave(k: DigitLabel) -> StateVector:
     Amplitude at q is exp(2*pi*i*(k.q mod d)/d) / sqrt(d**n); equals
     to_q_rep(basis_state(k, K)) up to floating rounding.
     """
-    d, n = k.system.d, k.system.n
-    phase = np.zeros((d,) * n, dtype=np.int64)
-    digit = np.arange(d)
-    for wire, kj in enumerate(k.digits):
-        shape = [1] * n
-        shape[wire] = d
-        phase = phase + kj * digit.reshape(shape)
-    amps = np.exp(2j * np.pi * (phase % d) / d).reshape(-1) / np.sqrt(d**n)
+    d = k.system.d
+    amps = np.exp(2j * np.pi * functional_values(k) / d) / np.sqrt(k.system.dim)
     return StateVector(k.system, Representation.Q, amps)
 
 

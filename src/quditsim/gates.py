@@ -18,7 +18,7 @@ from typing import Any, ClassVar, Union, get_args
 import numpy as np
 
 from ._tensor import apply_at
-from .groups import QuditSystem
+from .groups import QuditSystem, require_index
 from .states import (
     Representation,
     StateVector,
@@ -71,11 +71,6 @@ def _add_to_digit(
     return np.take_along_axis(arr, index, axis=axis[target]).reshape(amps.shape)
 
 
-def _require_digit(name: str, value: int, d: int) -> None:
-    if not 0 <= value < d:
-        raise ValueError(f"{name} {value} outside [0, {d})")
-
-
 def _gate_field(doc: dict[str, Any], index: int, key: str) -> Any:
     if key not in doc:
         raise ValueError(f"gate {index}: missing field {key!r}")
@@ -111,9 +106,9 @@ class _GateKind:
     def check(self, n: int, d: int) -> None:
         """Raise ValueError unless the gate fits n qudits of dimension d."""
         for wire in self.wires:
-            _require_digit("wire", wire, n)
+            require_index("wire", wire, n)
         for name in self.digit_fields:
-            _require_digit(name, getattr(self, name), d)
+            require_index(name, getattr(self, name), d)
 
     def apply(self, amps: np.ndarray, d: int, n: int) -> np.ndarray:
         """The gate's action on a raw q-rep buffer of shape (d**n, *batch)."""
@@ -261,7 +256,7 @@ class FunctionalCircuitLayout:
 
 def translation_gate_matrix(d: int, amount: int) -> np.ndarray:
     """Permutation matrix sending |c> to |c + amount mod d>."""
-    _require_digit("amount", amount, d)
+    require_index("amount", amount, d)
     m = np.zeros((d, d), dtype=np.complex128)
     m[(np.arange(d) + amount) % d, np.arange(d)] = 1.0
     return m

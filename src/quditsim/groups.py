@@ -2,10 +2,25 @@
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
+from functools import reduce
+
+import numpy as np
 
 ORACLE_DIM_CAP = 4096  # largest d**n for which a dense d**n x d**n oracle is built
+
+
+def require_index(name: str, value: int, bound: int) -> int:
+    """value as an int; ValueError unless an integer (numpy's too) in [0, bound)."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
+    if not 0 <= index < bound:
+        raise ValueError(f"{name} {value} outside [0, {bound})")
+    return index
 
 
 @dataclass(frozen=True)
@@ -49,14 +64,13 @@ class DigitLabel:
     system: QuditSystem
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", tuple(int(x) for x in self.digits))
-        if len(self.digits) != self.system.n:
-            raise ValueError(
-                f"expected {self.system.n} digits, got {len(self.digits)}"
-            )
-        for x in self.digits:
-            if not 0 <= x < self.system.d:
-                raise ValueError(f"digit {x} outside [0, {self.system.d})")
+        digits = tuple(self.digits)
+        if len(digits) != self.system.n:
+            raise ValueError(f"expected {self.system.n} digits, got {len(digits)}")
+        d = self.system.d
+        object.__setattr__(
+            self, "digits", tuple(require_index("digit", x, d) for x in digits)
+        )
 
     def ket(self) -> str:
         """Digit string in ket order, e.g. '12' for digits (1, 2).
@@ -88,6 +102,12 @@ def dot_mod(k: DigitLabel, q: DigitLabel) -> int:
     return sum(x * y for x, y in zip(k.digits, q.digits)) % k.system.d
 
 
+def functional_values(k: DigitLabel) -> np.ndarray:
+    """k.q mod d for every basis label q, as an int array in index order."""
+    d = k.system.d
+    return reduce(np.add.outer, [kj * np.arange(d) for kj in k.digits]).reshape(-1) % d
+
+
 def label_to_index(q: DigitLabel) -> int:
     """Flat index of a label; the first digit is the most significant.
 
@@ -102,8 +122,7 @@ def label_to_index(q: DigitLabel) -> int:
 
 def index_to_label(i: int, system: QuditSystem) -> DigitLabel:
     """Inverse of label_to_index."""
-    if not 0 <= i < system.dim:
-        raise ValueError(f"index {i} outside [0, {system.dim})")
+    i = require_index("index", i, system.dim)
     digits = []
     for _ in range(system.n):
         i, r = divmod(i, system.d)

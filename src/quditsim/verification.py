@@ -38,7 +38,6 @@ from .gates import (
     Translation,
     apply_gates,
     build_functional_circuit,
-    circuit_unitary_oracle,
     run_circuit,
     translation_gate_matrix,
 )
@@ -46,8 +45,8 @@ from .groups import (
     ORACLE_DIM_CAP,
     DigitLabel,
     QuditSystem,
-    dot_mod,
     enumerate_labels,
+    functional_values,
     index_to_label,
     is_prime,
 )
@@ -61,7 +60,6 @@ _RANDOM_GATES = 100
 _EXHAUSTIVE_DIM_CAP = 81
 _FACTORIZATION_DIM_CAP = 256
 _FUNCTIONAL_CASE_CAP = 2048
-_FUNCTIONAL_DIM_CAP = 2**20
 _COMPARISONS = {"<": operator.lt, ">": operator.gt}
 
 # Hand-enumerated 2-qutrit partition tables used as a fixed regression
@@ -85,17 +83,8 @@ def _check(
 
 
 def _functional_size(d: int, n: int) -> int:
-    """Largest m <= n keeping the exhaustive handler/source table affordable.
-
-    0 when even m = 1 exceeds a cap (d >= 46); the table is then left out.
-    """
-    m = 0
-    for cand in range(1, n + 1):
-        if d ** (2 * cand) <= _FUNCTIONAL_CASE_CAP and (
-            d ** (2 * cand + 1) <= _FUNCTIONAL_DIM_CAP
-        ):
-            m = cand
-    return m
+    """Largest m <= n with d**(2m) <= _FUNCTIONAL_CASE_CAP; 0 (no table) if d >= 46."""
+    return max(m for m in range(n + 1) if d ** (2 * m) <= _FUNCTIONAL_CASE_CAP)
 
 
 def _random_gate(rng: np.random.Generator, n: int, d: int) -> Gate:
@@ -192,44 +181,39 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
         checks.append(_check("transform_matches_dense_oracle", oracle_dev, 1e-12, "<"))
 
     if d * d <= ORACLE_DIM_CAP:
-        pair = QuditSystem(2, d)
         dev = 0.0
         for mult in range(d):
-            got = circuit_unitary_oracle(
-                Circuit(pair, (ControlledAdd(0, 1, mult),))
-            )
-            # subtract the expected blocks in place: no second dense matrix
+            cadd = Circuit(QuditSystem(2, d), (ControlledAdd(0, 1, mult),))
+            # One control digit j at a time: the d columns |j, c> of the
+            # gate's matrix, whose only nonzero block is row block j.
             for j in range(d):
-                block = translation_gate_matrix(d, (mult * j) % d)
-                got[j * d : (j + 1) * d, j * d : (j + 1) * d] -= block
-            dev = max(dev, float(np.max(np.abs(got))))
+                got = apply_gates(cadd, np.eye(d * d, d, -j * d, dtype=np.complex128))
+                got[j * d : (j + 1) * d] -= translation_gate_matrix(d, mult * j % d)
+                dev = max(dev, float(np.max(np.abs(got))))
         checks.append(_check("controlled_add_block_structure", dev, 1e-12, "<"))
 
     m = _functional_size(d, n)
     if m:
         circuit, _layout = build_functional_circuit(m, d)
         sub_labels = enumerate_labels(QuditSystem(m, d))
-        classes = {k: partition(k).classes for k in sub_labels}
-        cases = [(k, q) for k in sub_labels for q in sub_labels]
-        # Case i starts in |k, q, 0>, at flat index i * d. The cases run as the
-        # columns of batches of at most _FUNCTIONAL_DIM_CAP amplitudes.
-        width = _FUNCTIONAL_DIM_CAP // circuit.system.dim
+        width = d**m
+        cols = np.arange(width)
         func_dev = 0.0
         partition_mismatches = 0
-        for first in range(0, len(cases), width):
-            batch = cases[first : first + width]
-            cols = np.arange(len(batch))
-            starts = (first + cols) * d
-            amps = np.zeros((circuit.system.dim, len(batch)), dtype=np.complex128)
+        for i, k in enumerate(sub_labels):
+            # One batch per handler k: column q starts in |k, q, 0>.
+            starts = (i * width + cols) * d
+            amps = np.zeros((circuit.system.dim, width), dtype=np.complex128)
             amps[starts, cols] = 1.0
             out = apply_gates(circuit, amps)
             # The circuit's own holder outcomes, cross-checked against the
             # partition classes through an independent code path.
             holders = np.argmax(np.abs(out), axis=0) % d
+            classes = partition(k).classes
             partition_mismatches += sum(
-                q not in classes[k][holder] for (k, q), holder in zip(batch, holders)
+                q not in classes[holder] for q, holder in zip(sub_labels, holders)
             )
-            out[starts + [dot_mod(k, q) for k, q in batch], cols] -= 1.0
+            out[starts + functional_values(k), cols] -= 1.0
             func_dev = max(func_dev, float(np.max(np.abs(out))))
         checks.append(_check("functional_circuit_exhaustive", func_dev, 1e-12, "<"))
         checks.append(

@@ -29,6 +29,7 @@ from quditsim import (
     single_qudit_fourier,
     tensor_product,
     translation_gate_matrix,
+    translation_operator_k_rep,
 )
 
 Q = Representation.Q
@@ -143,6 +144,44 @@ def test_circuit_validation():
         Circuit(system, (ControlledAdd(0, 1, 5),))
     with pytest.raises(ValueError, match="matrix shape"):
         Circuit(system, (SingleQuditUnitary(0, np.eye(2)),))
+
+
+S23 = QuditSystem(2, 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DigitLabel((1.5, 0), S23),
+        lambda: DigitLabel((1.0, 0), S23),
+        lambda: DigitLabel(("1", 0), S23),
+        lambda: index_to_label(1.5, S23),
+        lambda: translation_operator_k_rep(3, 0.5),
+        lambda: translation_gate_matrix(3, 1.0),
+        lambda: Circuit(S23, (Translation(0.5, 1),)),
+        lambda: Circuit(S23, (Translation(0, 1.0),)),
+        lambda: Circuit(S23, (ControlledAdd(0.0, 1, 1),)),
+        lambda: Circuit(S23, (ControlledAdd(0, 1, np.float64(2)),)),
+        lambda: Circuit(QuditSystem(3, 2), (DoublyControlledAdd(0, 1, 2.0),)),
+        lambda: Circuit(S23, (SingleQuditUnitary(0.0, np.eye(3)),)),
+    ],
+    ids=[
+        "digit-1.5", "digit-1.0", "digit-str", "index", "k-rep-shift",
+        "shift-matrix", "translation-target", "translation-amount", "cadd-control",
+        "cadd-multiplier", "ccadd-target", "unitary-target",
+    ],
+)
+def test_non_integer_indices_rejected_at_construction(build):
+    with pytest.raises(ValueError, match="is not an integer"):
+        build()
+
+
+def test_numpy_integer_indices_accepted():
+    label = DigitLabel((np.int64(1), np.int32(2)), S23)
+    assert label.digits == (1, 2) and all(type(x) is int for x in label.digits)
+    gates = (Translation(np.int64(0), np.uint8(1)), ControlledAdd(np.int16(0), 1, 2))
+    state = run_circuit(Circuit(S23, gates), basis_state(label, Q))
+    assert state.amplitudes[label_to_index(DigitLabel((2, 0), S23))] == 1.0
 
 
 def test_controlled_add_block_structure():

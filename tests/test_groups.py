@@ -13,6 +13,7 @@ from quditsim import (
     is_prime,
     label_to_index,
 )
+from quditsim.groups import functional_values
 
 
 def label(digits, n, d):
@@ -99,6 +100,13 @@ def test_dot_mod_bilinear_sampled():
     for _ in range(2000):
         k, a, b = (labels[int(i)] for i in rng.integers(len(labels), size=3))
         assert dot_mod(k, add_mod(a, b)) == (dot_mod(k, a) + dot_mod(k, b)) % 3
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (1, 5), (2, 3), (3, 2), (2, 4), (3, 3)])
+def test_functional_values_match_dot_mod(n, d):
+    labels = enumerate_labels(QuditSystem(n, d))
+    for k in labels:
+        assert functional_values(k).tolist() == [dot_mod(k, q) for q in labels]
 
 
 def test_label_index_examples():
