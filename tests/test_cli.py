@@ -477,6 +477,22 @@ def test_run_rejects_malformed_circuit_fields(tmp_path, capsys, n, gate):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_run_rejects_a_circuit_whose_norm_drifts(tmp_path, capsys):
+    # (1 + 4e-11) H passes the unitarity check; ten of them drift by ~8e-10
+    h = (1 + 4e-11) / math.sqrt(2)
+    gate = {"kind": "unitary", "target": 0,
+            "matrix": [[[h, 0.0], [h, 0.0]], [[h, 0.0], [-h, 0.0]]]}
+    state_path = write_state(tmp_path, "state.json", basis((0,), 2))
+    circuit_path = tmp_path / "circuit.json"
+    circuit_path.write_text(json.dumps({"n": 1, "d": 2, "gates": [gate] * 10}))
+    code, out, err = invoke(
+        capsys, ["run", "--circuit", str(circuit_path), "--in", state_path]
+    )
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.count("\n") == 1 and "not normalized" in err
+
+
 def test_transform_rejects_nan_amplitude(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text('{"n": 1, "d": 2, "rep": "q", "amplitudes": [[NaN, 0], [1, 0]]}')

@@ -188,6 +188,14 @@ def test_dense_oracle_agrees_with_transform(d, n):
         assert np.max(np.abs(via_matrix - via_transform)) < 1e-12
 
 
+@pytest.mark.parametrize("d,n", [(3, 2), (6, 2), (2, 8), (16, 2)])
+def test_dense_oracle_bitwise_from_index_digits(d, n):
+    rows = np.indices((d,) * n).reshape(n, -1).T
+    exponents = (rows @ rows.T) % d
+    expected = np.exp(2j * np.pi * exponents / d) / np.sqrt(d**n)
+    assert np.array_equal(dense_fourier_oracle(QuditSystem(n, d)), expected)
+
+
 def test_dense_oracle_scale_cap():
     with pytest.raises(ValueError, match="cap"):
         dense_fourier_oracle(QuditSystem(13, 2))

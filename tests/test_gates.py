@@ -329,6 +329,14 @@ def test_norm_preserved_through_random_circuit():
     assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1) < 1e-10
 
 
+def test_run_circuit_rejects_norm_drift():
+    # each gate is within UNITARY_TOL of unitary; ten of them are not
+    drifting = SingleQuditUnitary(0, (1 + 4e-11) * single_qudit_fourier(2))
+    system = QuditSystem(1, 2)
+    with pytest.raises(ValueError, match="not normalized"):
+        run_circuit(Circuit(system, (drifting,) * 10), ket((0,), 2))
+
+
 def test_single_qudit_unitary_gate_matches_matrix():
     d, n = 3, 2
     system = QuditSystem(n, d)

@@ -143,6 +143,15 @@ def test_enumerate_labels():
     assert len(enumerate_labels(QuditSystem(2, 4))) == 16
 
 
+@pytest.mark.parametrize("n,d", [(1, 2), (3, 2), (2, 3), (4, 3), (2, 12), (1, 64)])
+def test_enumerate_labels_in_index_order(n, d):
+    system = QuditSystem(n, d)
+    digits = [q.digits for q in enumerate_labels(system)]
+    assert digits == [index_to_label(i, system).digits for i in range(system.dim)]
+    rows = np.indices((d,) * n).reshape(n, -1).T
+    assert digits == [tuple(row) for row in rows.tolist()]
+
+
 def test_ket_strings():
     assert label((1, 2), 2, 3).ket() == "12"
     assert label((0, 11), 2, 12).ket() == "0,11"
