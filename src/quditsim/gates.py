@@ -6,8 +6,9 @@ one gather over the reshaped amplitude tensor in O(d**n). Full gate matrices
 exist only inside the test oracle. Each gate class holds everything specific
 to its kind, and is validated when it and its Circuit are built. Gates act on
 a raw (d**n, *batch) buffer whose columns are separate states; apply_gates
-passes one such buffer from gate to gate and checks the norm after every
-SingleQuditUnitary only, since the other gates merely reorder amplitudes.
+passes one such buffer from gate to gate without checking it. Unitary
+matrices are checked when their gate is built, and run_circuit checks the
+norm once, on the output state.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .states import (
     StateVector,
     _pairs_from_json,
     _pairs_to_json,
-    check_norm,
     require_rep,
     system_from_dict,
 )
@@ -206,9 +206,7 @@ class SingleQuditUnitary(_GateKind):
             raise ValueError(f"matrix shape {self.matrix.shape} != ({d}, {d})")
 
     def apply(self, amps: np.ndarray, d: int, n: int) -> np.ndarray:
-        out = apply_at(amps, d, n, self.target, self.matrix)
-        check_norm(out)
-        return out
+        return apply_at(amps, d, n, self.target, self.matrix)
 
     def to_dict(self) -> dict[str, Any]:
         matrix = _pairs_to_json(self.matrix)
@@ -286,9 +284,9 @@ def apply_doubly_controlled_add(
 def run_circuit(circuit: Circuit, state: StateVector) -> StateVector:
     """Apply the gates in order to a q-rep state.
 
-    One raw amplitude buffer passes from gate to gate. The norm is checked
-    after every SingleQuditUnitary and once more on the final StateVector;
-    arithmetic gates only reorder amplitudes, so they cannot change it.
+    One raw amplitude buffer passes from gate to gate, and the norm is
+    checked once, on the output StateVector: arithmetic gates only reorder
+    amplitudes, and each unitary matrix was checked when its gate was built.
     """
     if state.system != circuit.system:
         raise ValueError(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import operator
 import sys
 from dataclasses import dataclass
@@ -131,8 +132,9 @@ def index_to_label(i: int, system: QuditSystem) -> DigitLabel:
 
 
 def enumerate_labels(system: QuditSystem) -> list[DigitLabel]:
-    """All d**n labels in index order."""
-    return [index_to_label(i, system) for i in range(system.dim)]
+    """All d**n labels in index order, which is itertools.product's order."""
+    digits = itertools.product(range(system.d), repeat=system.n)
+    return [DigitLabel(q, system) for q in digits]
 
 
 def is_prime(d: int) -> bool:

@@ -26,8 +26,9 @@ class StateVector:
     """Normalized amplitude vector of length d**n in a fixed representation.
 
     Construction copies the amplitudes into an owned read-only complex128
-    buffer and rejects it as check_norm does; amplitudes are stored exactly
-    as given, never rescaled.
+    buffer and rejects non-finite amplitudes and squared norms off 1 by more
+    than NORM_TOL; amplitudes are stored exactly as given, never rescaled.
+    This is the one norm check: run_circuit makes it once, on its output.
     """
 
     system: QuditSystem
@@ -40,25 +41,18 @@ class StateVector:
             raise ValueError(
                 f"expected {self.system.dim} amplitudes, got shape {amps.shape}"
             )
-        check_norm(amps)
+        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        if not math.isfinite(norm_sq):
+            raise ValueError(
+                f"state has non-finite amplitudes: sum |a|^2 = {norm_sq!r}"
+            )
+        if abs(norm_sq - 1.0) > NORM_TOL:
+            raise ValueError(
+                f"state is not normalized: sum |a|^2 = {norm_sq!r}"
+                f" (deviation {norm_sq - 1.0:+.3e})"
+            )
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-
-def check_norm(amps: np.ndarray) -> None:
-    """Reject non-finite amplitudes and squared norms off 1 by more than NORM_TOL.
-
-    Checks every column of a (d**n, *batch) buffer and reports the worst one.
-    """
-    norm_sq = np.sum(np.abs(amps) ** 2, axis=0)
-    norm_sq = float(norm_sq.flat[np.argmax(np.abs(norm_sq - 1.0))])  # NaN ranks first
-    if not math.isfinite(norm_sq):
-        raise ValueError(f"state has non-finite amplitudes: sum |a|^2 = {norm_sq!r}")
-    if abs(norm_sq - 1.0) > NORM_TOL:
-        raise ValueError(
-            f"state is not normalized: sum |a|^2 = {norm_sq!r}"
-            f" (deviation {norm_sq - 1.0:+.3e})"
-        )
 
 
 def require_rep(state: StateVector, rep: Representation) -> None:

@@ -47,7 +47,6 @@ from .groups import (
     QuditSystem,
     enumerate_labels,
     functional_values,
-    index_to_label,
     is_prime,
 )
 from .states import Representation, basis_state, random_state
@@ -270,7 +269,7 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
     full_entropy = n * np.log(d)
     dev = 0.0
     for idx in {0, dim // 2, dim - 1}:
-        label = index_to_label(idx, system)
+        label = labels[idx]
         basis_report = entropies(basis_state(label, Representation.Q))
         dev = max(dev, abs(basis_report.h_q))
         dev = max(dev, abs(basis_report.h_k - full_entropy))

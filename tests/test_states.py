@@ -17,7 +17,6 @@ from quditsim import (
     state_to_dict,
     tensor_product,
 )
-from quditsim.states import check_norm
 
 Q = Representation.Q
 K = Representation.K
@@ -180,17 +179,3 @@ def test_state_json_validation():
 
     with pytest.raises(ValueError, match="JSON object"):
         state_from_dict([1, 2, 3])
-
-
-def test_check_norm_on_a_batch_reports_the_worst_column():
-    rng = np.random.default_rng(17)
-    batch = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
-    batch /= np.linalg.norm(batch, axis=0)
-    check_norm(batch)
-    off = batch.copy()
-    off[:, 1] *= 1.1
-    with pytest.raises(ValueError, match=r"not normalized: sum \|a\|\^2 = 1\.21"):
-        check_norm(off)
-    off[0, 2] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        check_norm(off)
