@@ -496,3 +496,28 @@ def test_run_circuit_matches_digit_reference(d, n):
         expected = digit_reference(expected, d, n, c, (a, b), lambda x, y: x * y)
     out = run_circuit(Circuit(system, tuple(gates)), psi)
     assert np.array_equal(out.amplitudes, expected)
+
+
+@pytest.mark.parametrize("batch", [(3,), (2, 2)])
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (5, 3)])
+def test_controlled_adds_on_a_batch_match_digit_reference(d, n, batch):
+    # every wire order, on a (d**n, *batch) buffer: each column is moved
+    # exactly as digit_reference moves a single state
+    dim = d**n
+    rng = np.random.default_rng(d * 100 + n + len(batch))
+    amps = rng.standard_normal((dim, *batch)) + 1j * rng.standard_normal((dim, *batch))
+    cases = [
+        (ControlledAdd(control, target, mult), (control,), lambda c, m=mult: m * c)
+        for control, target in itertools.permutations(range(n), 2)
+        for mult in range(d)
+    ] + [
+        (DoublyControlledAdd(k, j, target), (k, j), lambda ck, cj: ck * cj)
+        for k, j, target in itertools.permutations(range(n), 3)
+    ]
+    for gate, controls, shift in cases:
+        out = gate.apply(amps, d, n)
+        assert out.shape == amps.shape
+        columns, out_columns = amps.reshape(dim, -1), out.reshape(dim, -1)
+        for col in range(columns.shape[1]):
+            ref = digit_reference(columns[:, col], d, n, gate.target, controls, shift)
+            assert np.array_equal(out_columns[:, col], ref), (gate, col)
