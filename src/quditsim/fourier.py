@@ -69,4 +69,5 @@ def dense_fourier_oracle(system: QuditSystem) -> np.ndarray:
     system.require_oracle_dim()
     digits = np.array([lab.digits for lab in enumerate_labels(system)])
     exponents = (digits @ digits.T) % system.d
-    return np.exp(2j * np.pi * exponents / system.d) / np.sqrt(system.dim)
+    roots = np.exp(2j * np.pi * np.arange(system.d) / system.d) / np.sqrt(system.dim)
+    return roots[exponents]

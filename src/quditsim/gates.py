@@ -2,7 +2,8 @@
 
 Translations, controlled adds and doubly controlled adds all add a function
 of the control digits to the target digit, mod d: basis permutations done by
-one gather over the reshaped amplitude tensor in O(d**n). Full gate matrices
+one gather of the amplitudes in O(d**n), along the target axis for a
+translation and over flat indices for a controlled add. Full gate matrices
 exist only inside the test oracle. Each gate class holds everything specific
 to its kind, and is validated when it and its Circuit are built. Gates act on
 a raw (d**n, *batch) buffer whose columns are separate states; apply_gates
@@ -44,31 +45,34 @@ def _add_to_digit(
 
     `amps` has shape (d**n, *batch), and the result has the same shape.
     `shift` is a (d,)*len(controls) table with entries in [0, d), indexed by
-    the control digits in the order given. Each run of other wires becomes
-    one axis, so the tensor has at most 7 axes plus the batch axes, and one
-    gather along the target axis moves every amplitude.
+    the control digits in the order given. Wire 0 is the most significant
+    digit. Without controls, one gather along the target axis moves every
+    amplitude. With controls, only the target digit of each source index
+    differs from its output index, so a small table of index offsets over
+    (control digits, target digit), broadcast onto the flat indices, gives
+    every source index, and one flat gather along axis 0 moves each row.
     """
+    t = np.arange(d)
+    if not controls:  # the same gather in every slice; ~3x faster than flat
+        arr = amps.reshape(d**target, d, d ** (n - 1 - target), *amps.shape[1:])
+        return np.take(arr, (t - shift) % d, axis=1).reshape(amps.shape)
+    # each run of other wires becomes one axis: at most 7 axes
     wires = sorted((target, *controls))
     shape: list[int] = []
-    index_shape: list[int] = []
-    axis: dict[int, int] = {}
+    delta_shape: list[int] = []
     for lo, wire in zip((-1, *wires), (*wires, n)):
         if wire > lo + 1:  # the wires strictly between lo and wire
             shape.append(d ** (wire - lo - 1))
-            index_shape.append(1)
+            delta_shape.append(1)
         if wire < n:
-            axis[wire] = len(shape)
             shape.append(d)
-            index_shape.append(d)
-    shape += amps.shape[1:]  # batch axes, gathered alike
-    index_shape += [1] * (amps.ndim - 1)
-    # source target digit for each (control digits..., target digit)
-    index = (np.arange(d) - shift[..., None]) % d
-    index = index.transpose(np.argsort((*controls, target))).reshape(index_shape)
-    arr = amps.reshape(shape)
-    if not controls:  # the same gather in every slice; np.take is ~5x faster
-        return np.take(arr, index.reshape(-1), axis=axis[target]).reshape(amps.shape)
-    return np.take_along_axis(arr, index, axis=axis[target]).reshape(amps.shape)
+            delta_shape.append(d)
+    # source minus output index for each (control digits..., target digit)
+    delta = ((t - shift[..., None]) % d - t) * d ** (n - 1 - target)
+    delta = delta.transpose(np.argsort((*controls, target))).reshape(delta_shape)
+    source = np.arange(d**n).reshape(shape)
+    source += delta
+    return np.take(amps, source.reshape(-1), axis=0)
 
 
 def _gate_field(doc: dict[str, Any], index: int, key: str) -> Any:

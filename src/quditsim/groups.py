@@ -11,6 +11,7 @@ from functools import reduce
 import numpy as np
 
 ORACLE_DIM_CAP = 4096  # largest d**n for which a dense d**n x d**n oracle is built
+LABEL_CAP = 2**20  # largest d**n for which every basis label is built
 
 
 def require_index(name: str, value: int, bound: int) -> int:
@@ -132,7 +133,12 @@ def index_to_label(i: int, system: QuditSystem) -> DigitLabel:
 
 
 def enumerate_labels(system: QuditSystem) -> list[DigitLabel]:
-    """All d**n labels in index order, which is itertools.product's order."""
+    """All d**n labels in index order, which is itertools.product's order.
+
+    Raises ValueError, before building any label, when d**n > LABEL_CAP.
+    """
+    if system.dim > LABEL_CAP:
+        raise ValueError(f"label count {system.dim} exceeds the cap {LABEL_CAP}")
     digits = itertools.product(range(system.d), repeat=system.n)
     return [DigitLabel(q, system) for q in digits]
 

@@ -164,6 +164,15 @@ def test_partition_zero_functional(capsys):
     assert len(classes[0]) == 9 and classes[1] == [] and classes[2] == []
 
 
+@pytest.mark.parametrize("n", [40, 21])
+def test_partition_label_cap_exits_2_before_building(capsys, n):
+    k = ",".join("1" * n)
+    code, out, err = invoke(capsys, ["partition", "--n", str(n), "--d", "2", "--k", k])
+    assert code == EXIT_VALIDATION and out == ""
+    assert err.count("\n") == 1
+    assert f"label count {2**n} exceeds the cap 1048576" in err
+
+
 def test_functional_basis_handlers(tmp_path, capsys):
     path = write_state(tmp_path, "handlers.json", basis((2, 1), 3))
     code, out, _ = invoke(
