@@ -18,6 +18,7 @@ from quditsim import (
     to_k_rep,
     to_q_rep,
 )
+from quditsim._tensor import apply_at
 
 Q = Representation.Q
 K = Representation.K
@@ -213,3 +214,41 @@ def test_non_prime_d_duality_survives(d):
         direct = planewave(k).amplitudes
         via_transform = to_q_rep(basis_state(k, K)).amplitudes
         assert np.max(np.abs(direct - via_transform)) < 1e-12
+
+
+# Systems at which the n-qudit transform must equal, byte for byte, one
+# single-wire contraction per qudit: the bench sweeps and large single states.
+BYTE_SYSTEMS = [(2, 16), (3, 10), (5, 7), (16, 4), (3, 7), (5, 5), (2, 11), (64, 1)]
+
+
+def _wire_by_wire(amps, d, n, wires, matrix):
+    for wire in wires:
+        amps = apply_at(amps, d, n, wire, matrix)
+    return amps
+
+
+@pytest.mark.parametrize("d,n", BYTE_SYSTEMS)
+def test_transforms_bytes_equal_wire_by_wire(d, n):
+    rng = np.random.default_rng(31)
+    system = QuditSystem(n, d)
+    f = single_qudit_fourier(d)
+    psi = random_state(system, Q, rng)
+    expected = _wire_by_wire(psi.amplitudes, d, n, range(n), f.conj().T)
+    assert to_k_rep(psi).amplitudes.tobytes() == expected.tobytes()
+    phi = random_state(system, K, rng)
+    expected = _wire_by_wire(phi.amplitudes, d, n, range(n), f)
+    assert to_q_rep(phi).amplitudes.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("d,n", BYTE_SYSTEMS)
+def test_multi_wire_apply_at_on_batches(d, n):
+    rng = np.random.default_rng(37)
+    batch = rng.standard_normal((d**n, 3)) + 1j * rng.standard_normal((d**n, 3))
+    f = single_qudit_fourier(d)
+    for wires in (range(n), range(n - 1, -1, -1), (n - 1, 0, n - 1)):
+        got = _wire_by_wire(batch, d, n, wires, f)
+        assert got.shape == batch.shape
+        expected = batch
+        for wire in wires:
+            expected = apply_at(expected, d, n, wire, f)
+        assert got.tobytes() == expected.tobytes()
