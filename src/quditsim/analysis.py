@@ -84,7 +84,7 @@ def expect_k(state: StateVector) -> np.ndarray:
     out = np.empty(n)
     for wire in range(n):
         out[wire] = np.vdot(
-            state.amplitudes, apply_at(state.amplitudes, d, n, wire, kq)
+            state.amplitudes, apply_at(state.amplitudes, d, n, (wire,), kq)
         ).real
     return out
 

@@ -48,6 +48,14 @@ class UsageError(Exception):
     """Malformed command arguments; maps to exit code 1."""
 
 
+_EXIT_CODES = {
+    UsageError: EXIT_USAGE,
+    OSError: EXIT_IO,
+    ValueError: EXIT_VALIDATION,
+    MemoryError: EXIT_VALIDATION,
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> Any:
         self.print_usage(sys.stderr)
@@ -240,18 +248,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         payload, code = args.handler(args)
         text = dumps_canonical(payload)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except MemoryError as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except tuple(_EXIT_CODES) as exc:
+        fallback = "out of memory" if isinstance(exc, MemoryError) else ""
+        print(f"error: {str(exc) or fallback}", file=sys.stderr)
+        return next(c for kind, c in _EXIT_CODES.items() if isinstance(exc, kind))
     sys.stdout.write(text + "\n")
     return code
 

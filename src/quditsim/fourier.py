@@ -25,27 +25,21 @@ def single_qudit_fourier(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * exponents / d) / np.sqrt(d)
 
 
-def _apply_per_qudit(
-    state: StateVector, source: Representation, target: Representation, f: np.ndarray
-) -> StateVector:
-    require_rep(state, source)
-    d, n = state.system.d, state.system.n
-    amps = state.amplitudes
-    for wire in range(n):
-        amps = apply_at(amps, d, n, wire, f)
-    return StateVector(state.system, target, amps)
-
-
 def to_q_rep(phi: StateVector) -> StateVector:
     """Transform a k-rep state to the q-representation (F on every qudit)."""
-    f = single_qudit_fourier(phi.system.d)
-    return _apply_per_qudit(phi, Representation.K, Representation.Q, f)
+    require_rep(phi, Representation.K)
+    d, n = phi.system.d, phi.system.n
+    amps = apply_at(phi.amplitudes, d, n, range(n), single_qudit_fourier(d))
+    return StateVector(phi.system, Representation.Q, amps)
 
 
 def to_k_rep(psi: StateVector) -> StateVector:
     """Transform a q-rep state to the k-representation (F dagger per qudit)."""
-    f_dag = single_qudit_fourier(psi.system.d).conj().T
-    return _apply_per_qudit(psi, Representation.Q, Representation.K, f_dag)
+    require_rep(psi, Representation.Q)
+    d, n = psi.system.d, psi.system.n
+    f_dag = single_qudit_fourier(d).conj().T
+    amps = apply_at(psi.amplitudes, d, n, range(n), f_dag)
+    return StateVector(psi.system, Representation.K, amps)
 
 
 def planewave(k: DigitLabel) -> StateVector:

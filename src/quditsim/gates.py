@@ -210,7 +210,7 @@ class SingleQuditUnitary(_GateKind):
             raise ValueError(f"matrix shape {self.matrix.shape} != ({d}, {d})")
 
     def apply(self, amps: np.ndarray, d: int, n: int) -> np.ndarray:
-        return apply_at(amps, d, n, self.target, self.matrix)
+        return apply_at(amps, d, n, (self.target,), self.matrix)
 
     def to_dict(self) -> dict[str, Any]:
         matrix = _pairs_to_json(self.matrix)

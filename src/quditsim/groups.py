@@ -37,7 +37,8 @@ class QuditSystem:
             raise ValueError(f"need at least one qudit, got n={self.n}")
         if self.d < 2:
             raise ValueError(f"need at least two levels per qudit, got d={self.d}")
-        if self.d**self.n > sys.maxsize:
+        # d >= 2 overflows once n reaches maxsize's bit length: skip the power
+        if self.n >= sys.maxsize.bit_length() or self.d**self.n > sys.maxsize:
             raise ValueError(
                 f"dimension {self.d}**{self.n} exceeds the platform index range"
             )

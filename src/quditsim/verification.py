@@ -153,7 +153,7 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
         if dim <= _EXHAUSTIVE_DIM_CAP:
             waves.append(wave)
             for wire, kj in enumerate(k.digits):
-                acted = apply_at(wave, d, n, wire, kq)
+                acted = apply_at(wave, d, n, (wire,), kq)
                 eigen_dev = max(eigen_dev, float(np.max(np.abs(acted - kj * wave))))
     checks.append(_check("planewave_matches_transform", transform_dev, 1e-12, "<"))
 

@@ -243,7 +243,7 @@ def test_criterion_06_observable_spectrum_and_eigenstates():
             for k in enumerate_labels(system):
                 wave = planewave(k)
                 for wire in range(n):
-                    acted = apply_at(wave.amplitudes, d, n, wire, kq)
+                    acted = apply_at(wave.amplitudes, d, n, (wire,), kq)
                     eigenstate_dev = max(
                         eigenstate_dev,
                         float(

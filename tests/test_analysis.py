@@ -76,7 +76,7 @@ def test_planewave_is_wavenumber_eigenstate(d, n):
     for k in enumerate_labels(system):
         wave = planewave(k)
         for wire in range(n):
-            acted = apply_at(wave.amplitudes, d, n, wire, kq)
+            acted = apply_at(wave.amplitudes, d, n, (wire,), kq)
             assert np.max(np.abs(acted - k.digits[wire] * wave.amplitudes)) < 1e-10
 
 

@@ -173,6 +173,21 @@ def test_partition_label_cap_exits_2_before_building(capsys, n):
     assert f"label count {2**n} exceeds the cap 1048576" in err
 
 
+def test_partition_huge_n_exits_1_at_once(capsys):
+    argv = ["partition", "--n", "1000000000", "--d", "3", "--k", "1"]
+    code, out, err = invoke(capsys, argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: dimension 3**1000000000 exceeds the platform index range\n"
+
+
+def test_state_file_huge_n_exits_2_at_once(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 1000000000, "d": 3, "rep": "q", "amplitudes": []}')
+    code, out, err = invoke(capsys, ["transform", "--in", str(path), "--to", "k"])
+    assert code == EXIT_VALIDATION and out == ""
+    assert err == "error: dimension 3**1000000000 exceeds the platform index range\n"
+
+
 def test_functional_basis_handlers(tmp_path, capsys):
     path = write_state(tmp_path, "handlers.json", basis((2, 1), 3))
     code, out, _ = invoke(

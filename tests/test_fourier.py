@@ -223,7 +223,7 @@ BYTE_SYSTEMS = [(2, 16), (3, 10), (5, 7), (16, 4), (3, 7), (5, 5), (2, 11), (64,
 
 def _wire_by_wire(amps, d, n, wires, matrix):
     for wire in wires:
-        amps = apply_at(amps, d, n, wire, matrix)
+        amps = apply_at(amps, d, n, (wire,), matrix)
     return amps
 
 
@@ -246,9 +246,6 @@ def test_multi_wire_apply_at_on_batches(d, n):
     batch = rng.standard_normal((d**n, 3)) + 1j * rng.standard_normal((d**n, 3))
     f = single_qudit_fourier(d)
     for wires in (range(n), range(n - 1, -1, -1), (n - 1, 0, n - 1)):
-        got = _wire_by_wire(batch, d, n, wires, f)
+        got = apply_at(batch, d, n, wires, f)
         assert got.shape == batch.shape
-        expected = batch
-        for wire in wires:
-            expected = apply_at(expected, d, n, wire, f)
-        assert got.tobytes() == expected.tobytes()
+        assert got.tobytes() == _wire_by_wire(batch, d, n, wires, f).tobytes()

@@ -30,6 +30,16 @@ def test_system_validation():
     assert QuditSystem(2, 3).dim == 9
 
 
+def test_huge_n_rejected_before_the_power():
+    # 3**(10**9) would take minutes to build; the n bound alone rejects it
+    with pytest.raises(ValueError) as info:
+        QuditSystem(10**9, 3)
+    assert str(info.value) == "dimension 3**1000000000 exceeds the platform index range"
+    assert QuditSystem(62, 2).dim == 2**62
+    with pytest.raises(ValueError, match="platform index range"):
+        QuditSystem(63, 2)
+
+
 def test_label_validation():
     sys32 = QuditSystem(2, 3)
     with pytest.raises(ValueError):

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 import quditsim.verification as verification
@@ -113,3 +116,12 @@ def test_functional_checks_drop_out_without_affordable_size(monkeypatch):
         name for name in BASE_CHECKS
         if name not in ("functional_circuit_exhaustive", "partition_matches_circuit")
     ]
+
+
+def test_readme_lists_every_check_in_report_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    listed = re.findall(r"^  - `([a-z_]+)`", readme, flags=re.MULTILINE)
+    # (3, 2) is the one system whose report carries every check
+    names = [c["name"] for c in run_verification(3, 2)["checks"]]
+    assert len(names) == 19
+    assert listed == names
