@@ -428,6 +428,25 @@ GOLDEN_FUNCTIONAL_SHA256 = {
     (2, (1,), "1"): "4c5989b12bbc100e1c482397b99cbcae2e32ea1c3060d52d57966eef91ec773a",
 }
 
+# (target rep, d = 2 basis digits) -> sha256 of `quditsim transform` stdout for
+# the basis state in the other rep; ("q", 0, 1, 0) is the k-rep point mass at
+# k = (0, 1, 0) sent to q. At most one digit is 1, so each amplitude is one
+# entry of F (or F dagger) times real powers of 1/sqrt(2), and the zero
+# entries add exactly: no digit depends on the BLAS summation order.
+GOLDEN_TRANSFORM_SHA256 = {
+    ("k", (0, 0, 0)): "4da4b272d1b70330f6cdf7eb950ac9d41d9498b92e1ba0cc3d3a830878e304e4",
+    ("k", (0, 1, 0, 0, 0, 0)): "d73599456460452884e4c5bb3502631e54aac016702f87ff7d1ca57d9048b6c8",
+    ("q", (1,)): "07437bbc16fb50177c38fc055ce1cec4cdca454084ff2f0153533576517c93e7",
+    ("q", (0, 0, 0, 1)): "f795dd8cd6ab27edb576c2d1d8484d8bb885c400e51db418159ba4687d21f811",
+}
+# (d = 2 digits of k) -> sha256 of `quditsim planewave` stdout; every phase is
+# exp(0) or exp(i pi), read off a two-entry table.
+GOLDEN_PLANEWAVE_SHA256 = {
+    "0,0,1": "4c719a23327ad0393401e6b1beec73ce3a8e3fa0f0196bde1b08334829356c30",
+    "1,0,1,1,1": "c7c51a7cdef50ba3c75e35d37c46dacc1bb0f8f1068d26440ddc4b945bb353dc",
+    "0,1,1,0,1,0,0,1": "2204dcf3c87f19c987e5a03cc1872ba4eadb0cf686152a1818e5a49cf37b962f",
+}
+
 
 def golden_run_files(tmp_path, d, n, seed, count=40):
     """Seeded state and four-kind circuit files whose run output is exact.
@@ -586,30 +605,114 @@ def test_functional_stdout_matches_golden_sha256(tmp_path, capsys, d, handlers, 
     assert digest == GOLDEN_FUNCTIONAL_SHA256[(d, handlers, sources)]
 
 
+@pytest.mark.parametrize("to,digits", sorted(GOLDEN_TRANSFORM_SHA256))
+def test_transform_stdout_matches_golden_sha256(tmp_path, capsys, to, digits):
+    source = Representation.Q if to == "k" else Representation.K
+    path = write_state(tmp_path, "state.json", basis(digits, 2, source))
+    code, out, err = invoke(capsys, ["transform", "--in", path, "--to", to])
+    assert code == EXIT_OK, err
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == GOLDEN_TRANSFORM_SHA256[(to, digits)]
+
+
+@pytest.mark.parametrize("k", sorted(GOLDEN_PLANEWAVE_SHA256))
+def test_planewave_stdout_matches_golden_sha256(capsys, k):
+    n = str(len(k.split(",")))
+    code, out, err = invoke(capsys, ["planewave", "--n", n, "--d", "2", "--k", k])
+    assert code == EXIT_OK, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PLANEWAVE_SHA256[k]
+
+
+def old_emit(obj):
+    """The recursive emitter that defined the canonical format, kept as reference."""
+    if isinstance(obj, float):
+        return format(obj, ".17g")
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(old_emit, obj)) + "]"
+    if isinstance(obj, dict):
+        items = (f"{json.dumps(str(k))}: {old_emit(v)}" for k, v in obj.items())
+        return "{" + ", ".join(items) + "}"
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--in", "{q}", "--to", "k"],
+        ["transform", "--in", "{k}", "--to", "q"],
+        ["transform", "--in", "{q}", "--to", "q"],
+        ["planewave", "--n", "3", "--d", "3", "--k", "2,0,1"],
+        ["analyze", "--in", "{q}"],
+        ["analyze", "--in", "{k}"],
+        ["verify", "--d", "3", "--n", "2"],
+        ["run", "--circuit", "{circuit}", "--in", "{run}"],
+        ["partition", "--n", "3", "--d", "3", "--k", "2,0,1"],
+        ["functional", "--d", "3", "--handlers", "{handlers}", "--sources", "1,2"],
+    ],
+    ids=lambda argv: "-".join(a for a in argv if not a.startswith(("-", "{"))),
+)
+def test_stdout_is_canonical_form_of_its_own_parse(tmp_path, capsys, argv):
+    # Machine-independent: whatever digits BLAS and libm give, stdout must be
+    # exactly the reference emitter's bytes for the document it parses to.
+    # parse_int=float keeps "-0" as -0.0, and ints print the same as floats.
+    from quditsim import from_amplitudes
+
+    rng = np.random.default_rng(5)
+    paths = {}
+    for name, m in (("q", 3), ("k", 3), ("handlers", 2)):
+        amps = rng.standard_normal(3**m) + 1j * rng.standard_normal(3**m)
+        rep = Representation.K if name == "k" else Representation.Q
+        state = from_amplitudes(QuditSystem(m, 3), rep, amps / np.linalg.norm(amps))
+        paths[name] = write_state(tmp_path, f"{name}.json", state)
+    paths["run"], paths["circuit"] = golden_run_files(tmp_path, 3, 3, seed=3)
+    code, out, err = invoke(capsys, [a.format(**paths) for a in argv])
+    assert code == EXIT_OK, err
+    assert out == old_emit(json.loads(out, parse_int=float)) + "\n"
+
+
 def test_dumps_canonical_literal_bytes():
     payload = {
         "floats": [0.1, 1.0, -0.0, 5e-324, 1e300, np.float64(0.25), -2.5],
         "scalars": [True, False, None, -7, 0],
         3: 'q"é',
         "nested": (1, (2.5, []), {}),
+        "50%": {"a%sb%%": "%.17g%", "%d": 0.5},
     }
     assert dumps_canonical(payload) == (
         '{"floats": [0.10000000000000001, 1, -0, 4.9406564584124654e-324, '
         '1.0000000000000001e+300, 0.25, -2.5], '
         '"scalars": [true, false, null, -7, 0], '
         '"3": "q\\"\\u00e9", '
-        '"nested": [1, [2.5, []], {}]}'
+        '"nested": [1, [2.5, []], {}], '
+        '"50%": {"a%sb%%": "%.17g%", "%d": 0.5}}'
     )
 
 
 @pytest.mark.parametrize(
-    "value,text",
-    [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")],
+    "payload,text",
+    [
+        ({"checks": [[0.5, math.nan]]}, "nan"),
+        ({"checks": [[0.5, math.inf]]}, "inf"),
+        ({"checks": [[0.5, -math.inf]]}, "-inf"),
+        ([0.5, math.inf, math.nan], "inf"),
+        ({"a": [-math.inf], "b": math.nan}, "-inf"),
+    ],
 )
-def test_dumps_canonical_rejects_non_finite(value, text):
+def test_dumps_canonical_rejects_non_finite(payload, text):
+    # the message names the first non-finite value in document order
     with pytest.raises(ValueError) as info:
-        dumps_canonical({"checks": [[0.5, value]]})
+        dumps_canonical(payload)
     assert str(info.value) == f"non-finite float {text} in payload"
+
+
+@pytest.mark.parametrize(
+    "array",
+    [np.arange(3), np.array([True, False]), np.array([1 + 2j]), np.zeros((2, 2), int)],
+    ids=["int", "bool", "complex", "int-2d"],
+)
+def test_dumps_canonical_rejects_non_float_arrays(array):
+    with pytest.raises(TypeError):
+        dumps_canonical({"values": array})
 
 
 @pytest.mark.parametrize(

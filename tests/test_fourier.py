@@ -19,6 +19,7 @@ from quditsim import (
     to_q_rep,
 )
 from quditsim._tensor import apply_at
+from quditsim.groups import functional_values
 
 Q = Representation.Q
 K = Representation.K
@@ -130,6 +131,16 @@ def test_planewave_bitwise_from_dot_mod(d, n):
     for k in labels:
         phases = np.array([dot_mod(k, q) for q in labels])
         expected = np.exp(2j * np.pi * phases / d) / np.sqrt(system.dim)
+        assert np.array_equal(planewave(k).amplitudes, expected)
+
+
+@pytest.mark.parametrize("d,n", [(3, 2), (6, 3), (5, 5), (16, 3), (64, 1)])
+def test_planewave_bitwise_from_exp_formula(d, n):
+    # Pins the exact float bytes against exp over every entry of k.q mod d.
+    system = QuditSystem(n, d)
+    labels = enumerate_labels(system)
+    for k in labels[:: max(1, len(labels) // 128)] + labels[-1:]:
+        expected = np.exp(2j * np.pi * functional_values(k) / d) / np.sqrt(system.dim)
         assert np.array_equal(planewave(k).amplitudes, expected)
 
 
