@@ -9,10 +9,13 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 from typing import Any
+
+import numpy as np
 
 from ._tensor import wire_marginal
 from .analysis import (
@@ -30,10 +33,10 @@ from .groups import DigitLabel, QuditSystem, is_prime
 from .states import (
     Representation,
     StateVector,
+    _state_doc,
     basis_state,
     probabilities,
     state_from_dict,
-    state_to_dict,
     tensor_product,
 )
 from .verification import DEFAULT_SEED, run_verification
@@ -62,22 +65,44 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _emit(obj: Any) -> str:
+def _template(obj: Any, floats: list[Any]) -> str:
+    """`obj` as canonical JSON with a %.17g slot per float, in document order.
+
+    Each slot's value is appended to `floats`; every other `%` is doubled. A
+    float ndarray is one leaf: its template follows from its shape alone.
+    """
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"non-finite float {obj!r} in payload")
-        return format(obj, ".17g")
+        floats.append(obj)
+        return "%.17g"
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        floats.extend(obj.ravel().tolist())
+        template = "%.17g"
+        for size in reversed(obj.shape):
+            template = "[" + ", ".join([template] * size) + "]"
+        return template
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(map(_emit, obj)) + "]"
+        return "[" + ", ".join([_template(v, floats) for v in obj]) + "]"
     if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}: {_emit(v)}" for k, v in obj.items())
+        items = [
+            f"{_template(str(k), floats)}: {_template(v, floats)}"
+            for k, v in obj.items()
+        ]
         return "{" + ", ".join(items) + "}"
-    return json.dumps(obj)
+    return json.dumps(obj).replace("%", "%%")
 
 
 def dumps_canonical(obj: Any) -> str:
-    """Deterministic JSON: insertion-ordered keys, 17-digit floats."""
-    return _emit(obj)
+    """Deterministic JSON: insertion-ordered keys, 17-digit floats.
+
+    Lists, tuples, dicts and float ndarrays nest; other leaves go to
+    json.dumps. Raises ValueError naming the first non-finite float.
+    """
+    floats: list[Any] = []
+    template = _template(obj, floats)
+    bad = next(itertools.filterfalse(math.isfinite, floats), None)
+    if bad is not None:
+        raise ValueError(f"non-finite float {bad!r} in payload")
+    return template % tuple(floats)
 
 
 def _load_json(path: str) -> Any:
@@ -92,10 +117,18 @@ def _parse_digit_list(text: str) -> tuple[int, ...]:
         raise UsageError(f"expected comma-separated digits, got {text!r}") from None
 
 
+def _system_from_args(n: int, d: int) -> QuditSystem:
+    """n < 1 or d < 2 is a usage error; a system too large to index, exit 2."""
+    if d < 2 or n < 1:
+        raise UsageError(f"need d >= 2 and n >= 1, got d={d}, n={n}")
+    return QuditSystem(n, d)
+
+
 def _label_from_args(n: int, d: int, digit_text: str) -> DigitLabel:
     digits = _parse_digit_list(digit_text)
+    system = _system_from_args(n, d)
     try:
-        return DigitLabel(digits, QuditSystem(n, d))
+        return DigitLabel(digits, system)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -109,12 +142,12 @@ def _cmd_transform(args: argparse.Namespace) -> tuple[Any, int]:
         out = to_q_rep(state)
     else:
         out = to_k_rep(state)
-    return state_to_dict(out), EXIT_OK
+    return _state_doc(out), EXIT_OK
 
 
 def _cmd_planewave(args: argparse.Namespace) -> tuple[Any, int]:
     label = _label_from_args(args.n, args.d, args.k)
-    return state_to_dict(planewave(label)), EXIT_OK
+    return _state_doc(planewave(label)), EXIT_OK
 
 
 def _cmd_partition(args: argparse.Namespace) -> tuple[Any, int]:
@@ -147,15 +180,15 @@ def _cmd_functional(args: argparse.Namespace) -> tuple[Any, int]:
         probabilities(out), d, circuit.system.n, layout.holder_wire
     )
     return {
-        "state": state_to_dict(out),
-        "holder_probabilities": holder_probs.tolist(),
+        "state": _state_doc(out),
+        "holder_probabilities": holder_probs,
     }, EXIT_OK
 
 
 def _cmd_run(args: argparse.Namespace) -> tuple[Any, int]:
     circuit = circuit_from_dict(_load_json(args.circuit))
     state = state_from_dict(_load_json(args.infile))
-    return state_to_dict(run_circuit(circuit, state)), EXIT_OK
+    return _state_doc(run_circuit(circuit, state)), EXIT_OK
 
 
 def _cmd_analyze(args: argparse.Namespace) -> tuple[Any, int]:
@@ -168,17 +201,16 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[Any, int]:
         "n": state.system.n,
         "d": state.system.d,
         "input_rep": input_rep,
-        "expect_q": expect_q(state).tolist(),
-        "expect_k": expect_k(state).tolist(),
-        "k_distributions": k_distributions(state).tolist(),
+        "expect_q": expect_q(state),
+        "expect_k": expect_k(state),
+        "k_distributions": k_distributions(state),
         "entropy": entropy_to_dict(report),
         "d_is_prime": is_prime(state.system.d),
     }, EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[Any, int]:
-    if args.d < 2 or args.n < 1:
-        raise UsageError(f"need d >= 2 and n >= 1, got d={args.d}, n={args.n}")
+    _system_from_args(args.n, args.d)
     report = run_verification(args.d, args.n, seed=args.seed)
     if report["all_pass"]:
         return report, EXIT_OK

@@ -48,8 +48,7 @@ def planewave(k: DigitLabel) -> StateVector:
     Amplitude at q is exp(2*pi*i*(k.q mod d)/d) / sqrt(d**n); equals
     to_q_rep(basis_state(k, K)) up to floating rounding.
     """
-    d = k.system.d
-    amps = np.exp(2j * np.pi * functional_values(k) / d) / np.sqrt(k.system.dim)
+    amps = _scaled_roots(k.system)[functional_values(k)]
     return StateVector(k.system, Representation.Q, amps)
 
 
@@ -63,5 +62,10 @@ def dense_fourier_oracle(system: QuditSystem) -> np.ndarray:
     system.require_oracle_dim()
     digits = np.array([lab.digits for lab in enumerate_labels(system)])
     exponents = (digits @ digits.T) % system.d
-    roots = np.exp(2j * np.pi * np.arange(system.d) / system.d) / np.sqrt(system.dim)
-    return roots[exponents]
+    return _scaled_roots(system)[exponents]
+
+
+def _scaled_roots(system: QuditSystem) -> np.ndarray:
+    """omega**v / sqrt(d**n) for v in [0, d): every value a planewave entry takes."""
+    d = system.d
+    return np.exp(2j * np.pi * np.arange(d) / d) / np.sqrt(system.dim)

@@ -24,8 +24,8 @@ from .groups import QuditSystem, require_index
 from .states import (
     Representation,
     StateVector,
+    _pairs,
     _pairs_from_json,
-    _pairs_to_json,
     require_rep,
     system_from_dict,
 )
@@ -213,7 +213,7 @@ class SingleQuditUnitary(_GateKind):
         return apply_at(amps, d, n, (self.target,), self.matrix)
 
     def to_dict(self) -> dict[str, Any]:
-        matrix = _pairs_to_json(self.matrix)
+        matrix = _pairs(self.matrix).tolist()
         return {"kind": self.kind, "target": self.target, "matrix": matrix}
 
     @classmethod

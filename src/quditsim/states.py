@@ -125,17 +125,24 @@ def random_state(
 
 def state_to_dict(state: StateVector) -> dict[str, Any]:
     """JSON-ready form: {"n", "d", "rep", "amplitudes": [[re, im], ...]}."""
+    doc = _state_doc(state)
+    doc["amplitudes"] = doc["amplitudes"].tolist()
+    return doc
+
+
+def _state_doc(state: StateVector) -> dict[str, Any]:
+    """The state's JSON layout, amplitudes as a (dim, 2) float [re, im] array."""
     return {
         "n": state.system.n,
         "d": state.system.d,
         "rep": state.rep.value,
-        "amplitudes": _pairs_to_json(state.amplitudes),
+        "amplitudes": _pairs(state.amplitudes),
     }
 
 
-def _pairs_to_json(values: np.ndarray) -> list[Any]:
-    """Complex array as nested lists of [re, im] Python float pairs."""
-    return np.stack((values.real, values.imag), axis=-1).tolist()
+def _pairs(values: np.ndarray) -> np.ndarray:
+    """Complex array as a float array with a trailing [re, im] axis."""
+    return np.stack((values.real, values.imag), axis=-1)
 
 
 def _pairs_from_json(value: Any, ndim: int, error: str) -> np.ndarray:

@@ -173,11 +173,34 @@ def test_partition_label_cap_exits_2_before_building(capsys, n):
     assert f"label count {2**n} exceeds the cap 1048576" in err
 
 
-def test_partition_huge_n_exits_1_at_once(capsys):
+def test_partition_huge_n_exits_2_at_once(capsys):
     argv = ["partition", "--n", "1000000000", "--d", "3", "--k", "1"]
     code, out, err = invoke(capsys, argv)
-    assert code == EXIT_USAGE and out == ""
+    assert code == EXIT_VALIDATION and out == ""
     assert err == "error: dimension 3**1000000000 exceeds the platform index range\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["partition", "--k", "1"], ["planewave", "--k", "1"], ["verify"]],
+    ids=lambda argv: argv[0],
+)
+def test_system_too_large_to_index_exits_2_for_every_command(capsys, argv):
+    code, out, err = invoke(capsys, argv + ["--n", "63", "--d", "2"])
+    assert code == EXIT_VALIDATION and out == ""
+    assert err == "error: dimension 2**63 exceeds the platform index range\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["partition", "--k", "1"], ["planewave", "--k", "1"], ["verify"]],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("n,d", [(0, 2), (2, 1), (-1, 3)])
+def test_too_small_system_is_a_usage_error(capsys, argv, n, d):
+    code, out, err = invoke(capsys, argv + ["--n", str(n), "--d", str(d)])
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: need d >= 2 and n >= 1, got d={d}, n={n}\n"
 
 
 def test_state_file_huge_n_exits_2_at_once(tmp_path, capsys):
@@ -689,6 +712,25 @@ def test_dumps_canonical_literal_bytes():
 
 
 @pytest.mark.parametrize(
+    "array",
+    [
+        np.array(-0.0),
+        np.zeros(0),
+        np.array([0.1, -0.0, 5e-324]),
+        np.array([[1.0, 1e300], [-2.5, 1 / 3]]),
+        np.zeros((0, 2)),
+        np.zeros((2, 0)),
+        np.array([0.1, 2.5], dtype=np.float32),
+    ],
+    ids=["0d", "empty", "vector", "2x2", "0x2", "2x0", "float32"],
+)
+def test_dumps_canonical_float_array_leaf_equals_its_list(array):
+    payload = {"a": array, "b": [array, 0.5]}
+    listed = {"a": array.tolist(), "b": [array.tolist(), 0.5]}
+    assert dumps_canonical(payload) == old_emit(listed)
+
+
+@pytest.mark.parametrize(
     "payload,text",
     [
         ({"checks": [[0.5, math.nan]]}, "nan"),
@@ -696,6 +738,8 @@ def test_dumps_canonical_literal_bytes():
         ({"checks": [[0.5, -math.inf]]}, "-inf"),
         ([0.5, math.inf, math.nan], "inf"),
         ({"a": [-math.inf], "b": math.nan}, "-inf"),
+        ({"a": np.array([[0.5, math.nan]]), "b": math.inf}, "nan"),
+        ({"a": 0.5, "b": np.array([math.inf, math.nan])}, "inf"),
     ],
 )
 def test_dumps_canonical_rejects_non_finite(payload, text):
