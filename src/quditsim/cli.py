@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -70,7 +71,10 @@ def _template(obj: Any, floats: list[Any]) -> str:
 
     Each slot's value is appended to `floats`; every other `%` is doubled. A
     float ndarray is one leaf: its template follows from its shape alone.
+    Strings take json.dumps's own encoder for a str, without its per-call setup.
     """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj).replace("%", "%%")
     if isinstance(obj, float):
         floats.append(obj)
         return "%.17g"
