@@ -92,14 +92,15 @@ def _template(obj: Any, floats: list[Any]) -> str:
             for k, v in obj.items()
         ]
         return "{" + ", ".join(items) + "}"
-    return json.dumps(obj).replace("%", "%%")
+    return json.dumps(obj)  # int, bool or None: no "%" to double; else TypeError
 
 
 def dumps_canonical(obj: Any) -> str:
     """Deterministic JSON: insertion-ordered keys, 17-digit floats.
 
-    Lists, tuples, dicts and float ndarrays nest; other leaves go to
-    json.dumps. Raises ValueError naming the first non-finite float.
+    Lists, tuples, dicts and float ndarrays nest; other leaves are encoded
+    as json.dumps encodes them. Raises ValueError naming the first
+    non-finite float.
     """
     floats: list[Any] = []
     template = _template(obj, floats)

@@ -731,19 +731,26 @@ def test_dumps_canonical_float_array_leaf_equals_its_list(array):
 
 
 @pytest.mark.parametrize(
+    "value,text",
+    [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")],
+)
+def test_dumps_canonical_rejects_non_finite(value, text):
+    with pytest.raises(ValueError) as info:
+        dumps_canonical({"checks": [[0.5, value]]})
+    assert str(info.value) == f"non-finite float {text} in payload"
+
+
+@pytest.mark.parametrize(
     "payload,text",
     [
-        ({"checks": [[0.5, math.nan]]}, "nan"),
-        ({"checks": [[0.5, math.inf]]}, "inf"),
-        ({"checks": [[0.5, -math.inf]]}, "-inf"),
         ([0.5, math.inf, math.nan], "inf"),
         ({"a": [-math.inf], "b": math.nan}, "-inf"),
         ({"a": np.array([[0.5, math.nan]]), "b": math.inf}, "nan"),
         ({"a": 0.5, "b": np.array([math.inf, math.nan])}, "inf"),
     ],
+    ids=["list", "dict", "array-first", "array-second"],
 )
-def test_dumps_canonical_rejects_non_finite(payload, text):
-    # the message names the first non-finite value in document order
+def test_dumps_canonical_names_first_non_finite_in_document_order(payload, text):
     with pytest.raises(ValueError) as info:
         dumps_canonical(payload)
     assert str(info.value) == f"non-finite float {text} in payload"
