@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -414,7 +415,8 @@ def test_circuit_json_round_trip():
             SingleQuditUnitary(2, f),
         ),
     )
-    doc = circuit_to_dict(circuit)
+    # plain lists all the way down: the document survives json.dumps
+    doc = json.loads(json.dumps(circuit_to_dict(circuit)))
     parsed = circuit_from_dict(doc)
     assert parsed.system == circuit.system
     assert parsed.gates[:3] == circuit.gates[:3]
