@@ -441,7 +441,7 @@ def digit_reference(amps, d, n, target, controls, shift):
     return out
 
 
-KERNEL_SYSTEMS = [(2, 5), (3, 4), (4, 4), (5, 3), (16, 3)]
+KERNEL_SYSTEMS = [(2, 5), (2, 8), (3, 4), (4, 4), (5, 3), (16, 3)]
 
 
 @pytest.mark.parametrize("d,n", KERNEL_SYSTEMS)
