@@ -112,7 +112,10 @@ def dumps_canonical(obj: Any) -> str:
 
 def _load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # json's decoder recurses once per nesting level
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _parse_digit_list(text: str) -> tuple[int, ...]:
@@ -216,6 +219,8 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[Any, int]:
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[Any, int]:
     _system_from_args(args.n, args.d)
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     report = run_verification(args.d, args.n, seed=args.seed)
     if report["all_pass"]:
         return report, EXIT_OK

@@ -2,14 +2,17 @@
 
 Translations, controlled adds and doubly controlled adds all add a function
 of the control digits to the target digit, mod d: basis permutations done by
-one gather of the amplitudes in O(d**n), along the target axis for a
-translation and over flat indices for a controlled add. Full gate matrices
-exist only inside the test oracle. Each gate class holds everything specific
-to its kind, and is validated when it and its Circuit are built. Gates act on
-a raw (d**n, *batch) buffer whose columns are separate states; apply_gates
-passes one such buffer from gate to gate without checking it. Unitary
-matrices are checked when their gate is built, and run_circuit checks the
-norm once, on the output state.
+one gather of the amplitudes in O(d**n). Every gate sees the (d,)*n view of
+its buffer, in which wire w is axis w: a translation gathers along the
+target axis, and a controlled add gathers over flat indices built on that
+view. Full gate matrices exist only inside the test oracle. Each gate class
+holds everything specific to its kind; a gate checks that its wires are
+distinct and its matrix unitary when it is built, and its Circuit checks that
+it fits the system. Gates act on a raw (d**n, *batch) buffer whose columns
+are separate states; apply_gates passes one such buffer from gate to gate
+without checking it, and run_circuit checks the norm once, on the output
+state. circuit_from_dict names the gate, as "gate i: ...", in every error
+that one gate's fields raise.
 """
 
 from __future__ import annotations
@@ -34,59 +37,45 @@ UNITARY_TOL = 1e-10
 
 
 def _add_to_digit(
-    amps: np.ndarray,
-    d: int,
-    n: int,
-    target: int,
-    controls: tuple[int, ...],
-    shift: np.ndarray,
+    amps: np.ndarray, d: int, n: int, wires: tuple[int, ...], shift: np.ndarray
 ) -> np.ndarray:
     """Add shift[control digits] to the target digit of every index, mod d.
 
     `amps` has shape (d**n, *batch), and the result has the same shape.
-    `shift` is a (d,)*len(controls) table with entries in [0, d), indexed by
-    the control digits in the order given. Wire 0 is the most significant
-    digit. Without controls, one gather along the target axis moves every
-    amplitude. With controls, only the target digit of each source index
-    differs from its output index, so a small table of index offsets over
-    (control digits, target digit), broadcast onto the flat indices, gives
-    every source index, and one flat gather along axis 0 moves each row.
+    `wires` lists the controls, then the target; `shift` is a
+    (d,)*len(controls) table with entries in [0, d), indexed by the control
+    digits in that order. Wire w is axis w of the (d,)*n view, so wire 0 is
+    the most significant digit. Without controls, one gather along the target
+    axis moves every amplitude. With controls, only the target digit of each
+    source index differs from its output index, so a table of index offsets
+    over (control digits, target digit), broadcast onto the (d,)*n view of
+    the flat indices, gives every source index, and one flat gather along
+    axis 0 moves each row.
     """
+    *controls, target = wires
     t = np.arange(d)
     if not controls:  # the same gather in every slice; ~3x faster than flat
-        arr = amps.reshape(d**target, d, d ** (n - 1 - target), *amps.shape[1:])
-        return np.take(arr, (t - shift) % d, axis=1).reshape(amps.shape)
-    # each run of other wires becomes one axis: at most 7 axes
-    wires = sorted((target, *controls))
-    shape: list[int] = []
-    delta_shape: list[int] = []
-    for lo, wire in zip((-1, *wires), (*wires, n)):
-        if wire > lo + 1:  # the wires strictly between lo and wire
-            shape.append(d ** (wire - lo - 1))
-            delta_shape.append(1)
-        if wire < n:
-            shape.append(d)
-            delta_shape.append(d)
+        arr = amps.reshape((d,) * n + amps.shape[1:])
+        return np.take(arr, (t - shift) % d, axis=target).reshape(amps.shape)
     # source minus output index for each (control digits..., target digit)
     delta = ((t - shift[..., None]) % d - t) * d ** (n - 1 - target)
-    delta = delta.transpose(np.argsort((*controls, target))).reshape(delta_shape)
-    source = np.arange(d**n).reshape(shape)
-    source += delta
+    source = np.arange(d**n).reshape((d,) * n)
+    source += delta.transpose(np.argsort(wires)).reshape(
+        [d if w in wires else 1 for w in range(n)]
+    )
     return np.take(amps, source.reshape(-1), axis=0)
 
 
-def _gate_field(doc: dict[str, Any], index: int, key: str) -> Any:
+def _gate_field(doc: dict[str, Any], key: str) -> Any:
     if key not in doc:
-        raise ValueError(f"gate {index}: missing field {key!r}")
+        raise ValueError(f"missing field {key!r}")
     return doc[key]
 
 
-def _int_field(doc: dict[str, Any], index: int, key: str) -> int:
-    value = _gate_field(doc, index, key)
+def _int_field(doc: dict[str, Any], key: str) -> int:
+    value = _gate_field(doc, key)
     if type(value) is not int:  # JSON integers only: no bool, no float
-        raise ValueError(
-            f"gate {index}: field {key!r} must be an integer, got {value!r}"
-        )
+        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
     return value
 
 
@@ -103,6 +92,11 @@ class _GateKind:
     wire_fields: ClassVar[tuple[str, ...]]
     digit_fields: ClassVar[tuple[str, ...]] = ()
 
+    def __post_init__(self) -> None:
+        wires = self.wires  # compared with ==: an unhashable wire fails in check
+        if any(w in wires[:i] for i, w in enumerate(wires)):
+            raise ValueError(f"wires must be distinct, got {wires}")
+
     @property
     def wires(self) -> tuple[int, ...]:
         return tuple(getattr(self, name) for name in self.wire_fields)
@@ -116,16 +110,15 @@ class _GateKind:
 
     def apply(self, amps: np.ndarray, d: int, n: int) -> np.ndarray:
         """The gate's action on a raw q-rep buffer of shape (d**n, *batch)."""
-        *controls, target = self.wires
-        return _add_to_digit(amps, d, n, target, tuple(controls), self.shift(d))
+        return _add_to_digit(amps, d, n, self.wires, self.shift(d))
 
     def to_dict(self) -> dict[str, Any]:
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         return {"kind": self.kind, **values}
 
     @classmethod
-    def from_dict(cls, doc: dict[str, Any], index: int) -> Any:
-        return cls(**{f.name: _int_field(doc, index, f.name) for f in fields(cls)})
+    def from_dict(cls, doc: dict[str, Any]) -> Any:
+        return cls(**{f.name: _int_field(doc, f.name) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -155,10 +148,6 @@ class ControlledAdd(_GateKind):
     wire_fields = ("control", "target")
     digit_fields = ("multiplier",)
 
-    def __post_init__(self) -> None:
-        if self.control == self.target:
-            raise ValueError("control and target must be distinct wires")
-
     def shift(self, d: int) -> np.ndarray:
         return self.multiplier * np.arange(d) % d
 
@@ -173,10 +162,6 @@ class DoublyControlledAdd(_GateKind):
 
     kind = "ccadd"
     wire_fields = ("k_control", "j_control", "target")
-
-    def __post_init__(self) -> None:
-        if len(set(self.wires)) != 3:
-            raise ValueError(f"wires must be distinct, got {self.wires}")
 
     def shift(self, d: int) -> np.ndarray:
         return np.outer(np.arange(d), np.arange(d)) % d
@@ -217,10 +202,10 @@ class SingleQuditUnitary(_GateKind):
         return {"kind": self.kind, "target": self.target, "matrix": matrix}
 
     @classmethod
-    def from_dict(cls, doc: dict[str, Any], index: int) -> SingleQuditUnitary:
-        target = _int_field(doc, index, "target")
-        matrix = _gate_field(doc, index, "matrix")
-        error = f"gate {index}: field 'matrix' must be rows of [re, im] pairs"
+    def from_dict(cls, doc: dict[str, Any]) -> SingleQuditUnitary:
+        target = _int_field(doc, "target")
+        matrix = _gate_field(doc, "matrix")
+        error = "field 'matrix' must be rows of [re, im] pairs"
         return cls(target=target, matrix=_pairs_from_json(matrix, 2, error))
 
 
@@ -357,8 +342,11 @@ def circuit_from_dict(doc: Any) -> Circuit:
     for i, g in enumerate(doc["gates"]):
         if not isinstance(g, dict):
             raise ValueError(f"gate {i} must be a JSON object")
-        kind = _gate_field(g, i, "kind")
-        if not isinstance(kind, str) or kind not in _KINDS:
-            raise ValueError(f"gate {i}: unknown kind {kind!r}")
-        gates.append(_KINDS[kind].from_dict(g, i))
+        try:
+            kind = _gate_field(g, "kind")
+            if not isinstance(kind, str) or kind not in _KINDS:
+                raise ValueError(f"unknown kind {kind!r}")
+            gates.append(_KINDS[kind].from_dict(g))
+        except ValueError as exc:
+            raise ValueError(f"gate {i}: {exc}") from None
     return Circuit(system, tuple(gates))

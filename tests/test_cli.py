@@ -117,6 +117,24 @@ def test_transform_rejects_malformed_json(tmp_path, capsys):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("case", ["state", "amplitudes", "circuit"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, case):
+    deep = tmp_path / "deep.json"
+    nested = "[" * 100000 + "]" * 100000
+    if case == "amplitudes":
+        nested = f'{{"n": 1, "d": 2, "rep": "q", "amplitudes": {nested}}}'
+    deep.write_text(nested)
+    state_path = write_state(tmp_path, "state.json", basis((0,), 2))
+    argv = ["transform", "--in", str(deep), "--to", "k"]
+    if case == "circuit":
+        argv = ["run", "--circuit", str(deep), "--in", state_path]
+    code, out, err = invoke(capsys, argv)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested too deeply" in err
+
+
 def test_planewave_uniform(capsys):
     code, out, _ = invoke(capsys, ["planewave", "--n", "2", "--d", "3", "--k", "0,0"])
     assert code == EXIT_OK
@@ -403,6 +421,9 @@ def test_stdout_is_single_json_document(tmp_path, capsys):
 def test_verify_bad_arguments_are_usage_errors(capsys):
     assert invoke(capsys, ["verify", "--d", "1", "--n", "2"])[0] == EXIT_USAGE
     assert invoke(capsys, ["verify", "--d", "3", "--n", "0"])[0] == EXIT_USAGE
+    assert invoke(capsys, ["verify", "--d", "2", "--n", "1", "--seed", "-1"]) == (
+        EXIT_USAGE, "", "error: --seed must be non-negative, got -1\n"
+    )
 
 
 def test_verify_byte_identical_across_processes():
@@ -514,6 +535,7 @@ def test_run_stdout_matches_golden_sha256(tmp_path, capsys, d, n):
 
 
 NAN_UNITARY = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+NON_UNITARY = [[[2, 0], [0, 0]], [[0, 0], [1, 0]]]
 
 
 @pytest.mark.parametrize(
@@ -526,9 +548,14 @@ NAN_UNITARY = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
         (3, {"kind": "ccadd", "k_control": "0", "j_control": 1, "target": 2}),
         (1, {"kind": "unitary", "target": 0, "matrix": [5, 6]}),
         (1, {"kind": "unitary", "target": 0, "matrix": NAN_UNITARY}),
+        (2, {"kind": "cadd", "control": 1, "target": 1, "multiplier": 1}),
+        (3, {"kind": "ccadd", "k_control": 0, "j_control": 2, "target": 0}),
+        (1, {"kind": "unitary", "target": 0, "matrix": NON_UNITARY}),
+        (1, {"kind": "unitary", "target": 0, "matrix": [[[1, 0], [0, 0]]]}),
     ],
     ids=["bool-n", "float-amount", "bool-target", "integral-float-multiplier",
-         "string-wire", "flat-matrix", "nan-matrix"],
+         "string-wire", "flat-matrix", "nan-matrix", "cadd-same-wire",
+         "ccadd-repeated-wire", "non-unitary", "one-by-two-matrix"],
 )
 def test_run_rejects_malformed_circuit_fields(tmp_path, capsys, n, gate):
     # the state matches the system a lax parser would read (true as n=1)
@@ -541,6 +568,8 @@ def test_run_rejects_malformed_circuit_fields(tmp_path, capsys, n, gate):
     assert code == EXIT_VALIDATION
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if type(n) is int:  # bool-n is a header error, not a gate's
+        assert err.startswith("error: gate 0: "), err
 
 
 def test_run_rejects_a_circuit_whose_norm_drifts(tmp_path, capsys):

@@ -123,9 +123,9 @@ def test_apply_doubly_controlled_add_examples():
 
 
 def test_gate_descriptor_validation():
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(ValueError, match=r"^wires must be distinct, got \(0, 0\)$"):
         ControlledAdd(0, 0, 1)
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(ValueError, match=r"^wires must be distinct, got \(0, 1, 1\)$"):
         DoublyControlledAdd(0, 1, 1)
     with pytest.raises(ValueError, match="unitary"):
         SingleQuditUnitary(0, np.array([[1, 0], [1, 1]]))
@@ -145,6 +145,10 @@ def test_circuit_validation():
         Circuit(system, (ControlledAdd(0, 1, 5),))
     with pytest.raises(ValueError, match="matrix shape"):
         Circuit(system, (SingleQuditUnitary(0, np.eye(2)),))
+    # distinct wires are compared with ==, so an unhashable wire reaches
+    # the index check's ValueError rather than a TypeError
+    with pytest.raises(ValueError, match=r"^gate 0: wire \[0\] is not an integer$"):
+        Circuit(system, (DoublyControlledAdd([0], 1, 2),))
 
 
 S23 = QuditSystem(2, 3)
