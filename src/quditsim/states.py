@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -146,14 +147,25 @@ def _pairs(values: np.ndarray) -> np.ndarray:
 
 
 def _pairs_from_json(value: Any, ndim: int, error: str) -> np.ndarray:
-    """Complex `ndim`-dimensional array from nested [re, im] pairs of numbers."""
-    try:
-        pairs = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(error) from None
-    if pairs.ndim != ndim + 1 or pairs.shape[-1] != 2:
+    """Complex `ndim`-dimensional array from nested [re, im] pairs of numbers.
+
+    Every level must be a rectangular JSON list and every leaf a JSON number,
+    an int or a float: strings, booleans and null are refused, not converted.
+    """
+    shape = []
+    level = [value]
+    for _ in range(ndim + 1):  # the ndim array levels, then the pairs
+        if set(map(type, level)) != {list} or len(set(map(len, level))) != 1:
+            raise ValueError(error)
+        shape.append(len(level[0]))
+        level = list(itertools.chain.from_iterable(level))
+    if shape[-1] != 2 or not set(map(type, level)) <= {int, float}:
         raise ValueError(error)
-    return pairs.view(np.complex128)[..., 0]
+    try:
+        flat = np.array(level, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(error) from None
+    return flat.reshape(shape).view(np.complex128)[..., 0]
 
 
 def system_from_dict(doc: Any, what: str, keys: tuple[str, ...]) -> QuditSystem:

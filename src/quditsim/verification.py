@@ -1,13 +1,15 @@
 """Deterministic invariant sweep backing the `verify` CLI command.
 
 Every check is reported as {name, measured, tolerance, comparison, pass};
-"comparison" is "<" for error bounds and ">" for lower bounds. Oracle-backed
-checks are included only when the dimension is within the dense-oracle cap,
-so the report contents depend only on (d, n, seed).
+"comparison" is "<" for error bounds and ">" for lower bounds. The checks are
+the rows of the table in `run_verification`, in report order, and a check is
+reported only when its row's condition on (d, n) holds, so the report
+contents depend only on (d, n, seed).
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Any
 
@@ -56,8 +58,6 @@ DEFAULT_SEED = 0
 _ROUND_TRIP_STATES = 20
 _ENTROPY_STATES = 100
 _RANDOM_GATES = 100
-_EXHAUSTIVE_DIM_CAP = 81
-_FACTORIZATION_DIM_CAP = 256
 _FUNCTIONAL_CASE_CAP = 2048
 _COMPARISONS = {"<": operator.lt, ">": operator.gt}
 
@@ -69,21 +69,38 @@ _QUTRIT_REFERENCE_PARTITIONS = {
 }
 
 
-def _check(
-    name: str, measured: float, tolerance: float, comparison: str
-) -> dict[str, Any]:
-    return {
-        "name": name,
-        "measured": float(measured),
-        "tolerance": float(tolerance),
-        "comparison": comparison,
-        "pass": bool(_COMPARISONS[comparison](measured, tolerance)),
-    }
+def _unitarity_dev(u: np.ndarray) -> float:
+    return float(np.max(np.abs(u @ u.conj().T - np.eye(len(u)))))
+
+
+def _norm_dev(amplitudes: np.ndarray) -> float:
+    return abs(float(np.sum(np.abs(amplitudes) ** 2)) - 1.0)
 
 
 def _functional_size(d: int, n: int) -> int:
     """Largest m <= n with d**(2m) <= _FUNCTIONAL_CASE_CAP; 0 (no table) if d >= 46."""
     return max(m for m in range(n + 1) if d ** (2 * m) <= _FUNCTIONAL_CASE_CAP)
+
+
+def _controlled_add_dev(d: int) -> float:
+    dev = 0.0
+    for mult in range(d):
+        cadd = Circuit(QuditSystem(2, d), (ControlledAdd(0, 1, mult),))
+        # One control digit j at a time: the d columns |j, c> of the
+        # gate's matrix, whose only nonzero block is row block j.
+        for j in range(d):
+            got = apply_gates(cadd, np.eye(d * d, d, -j * d, dtype=np.complex128))
+            got[j * d : (j + 1) * d] -= translation_gate_matrix(d, mult * j % d)
+            dev = max(dev, float(np.max(np.abs(got))))
+    return dev
+
+
+def _qutrit_reference_mismatches(system: QuditSystem) -> int:
+    return sum(
+        partition_to_dict(partition(DigitLabel(k_digits, system)))["classes"]
+        != expected_classes
+        for k_digits, expected_classes in _QUTRIT_REFERENCE_PARTITIONS.items()
+    )
 
 
 def _random_gate(rng: np.random.Generator, n: int, d: int) -> Gate:
@@ -109,90 +126,62 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
     system.require_oracle_dim()
     rng = np.random.default_rng(seed)
     dim = system.dim
-    checks: list[dict[str, Any]] = []
-
-    f = single_qudit_fourier(d)
-    checks.append(
-        _check(
-            "single_qudit_fourier_unitary",
-            np.max(np.abs(f @ f.conj().T - np.eye(d))),
-            1e-12,
-            "<",
-        )
-    )
-
-    round_trip_dev = 0.0
-    norm_dev = 0.0
-    for _ in range(_ROUND_TRIP_STATES):
-        psi = random_state(system, Representation.Q, rng)
-        phi = to_k_rep(psi)
-        norm_dev = max(
-            norm_dev, abs(float(np.sum(np.abs(phi.amplitudes) ** 2)) - 1.0)
-        )
-        back = to_q_rep(phi)
-        round_trip_dev = max(
-            round_trip_dev, float(np.max(np.abs(back.amplitudes - psi.amplitudes)))
-        )
-    checks.append(_check("fourier_round_trip", round_trip_dev, 1e-12, "<"))
-    checks.append(_check("fourier_norm_preservation", norm_dev, 1e-12, "<"))
-
-    labels = enumerate_labels(system)
-    oracle = dense_fourier_oracle(system)
-    kq = k_observable_in_q_rep(d).matrix
-    transform_dev = oracle_dev = eigen_dev = 0.0
-    waves = []
-    # Per label, not one batch over np.eye(dim): a batched tensordot rounds
-    # differently from per-vector calls, which would change measured values.
-    for col, k in enumerate(labels):
-        wave = planewave(k).amplitudes
-        transformed = to_q_rep(basis_state(k, Representation.K)).amplitudes
-        transform_dev = max(transform_dev, float(np.max(np.abs(wave - transformed))))
-        if dim <= _FACTORIZATION_DIM_CAP:
-            column_dev = float(np.max(np.abs(transformed - oracle[:, col])))
-            oracle_dev = max(oracle_dev, column_dev)
-        if dim <= _EXHAUSTIVE_DIM_CAP:
-            waves.append(wave)
-            for wire, kj in enumerate(k.digits):
-                acted = apply_at(wave, d, n, (wire,), kq)
-                eigen_dev = max(eigen_dev, float(np.max(np.abs(acted - kj * wave))))
-    checks.append(_check("planewave_matches_transform", transform_dev, 1e-12, "<"))
-
-    if dim <= _EXHAUSTIVE_DIM_CAP:
-        gram = np.array(waves).conj() @ np.array(waves).T
-        checks.append(
-            _check(
-                "planewave_orthonormality",
-                np.max(np.abs(gram - np.eye(dim))),
-                1e-12,
-                "<",
-            )
-        )
-
-    checks.append(
-        _check(
-            "dense_oracle_unitary",
-            np.max(np.abs(oracle @ oracle.conj().T - np.eye(dim))),
-            1e-11,
-            "<",
-        )
-    )
-    if dim <= _FACTORIZATION_DIM_CAP:
-        checks.append(_check("transform_matches_dense_oracle", oracle_dev, 1e-12, "<"))
-
-    if d * d <= ORACLE_DIM_CAP:
-        dev = 0.0
-        for mult in range(d):
-            cadd = Circuit(QuditSystem(2, d), (ControlledAdd(0, 1, mult),))
-            # One control digit j at a time: the d columns |j, c> of the
-            # gate's matrix, whose only nonzero block is row block j.
-            for j in range(d):
-                got = apply_gates(cadd, np.eye(d * d, d, -j * d, dtype=np.complex128))
-                got[j * d : (j + 1) * d] -= translation_gate_matrix(d, mult * j % d)
-                dev = max(dev, float(np.max(np.abs(got))))
-        checks.append(_check("controlled_add_block_structure", dev, 1e-12, "<"))
-
     m = _functional_size(d, n)
-    if m:
+    f = single_qudit_fourier(d)
+    kq = k_observable_in_q_rep(d).matrix
+
+    # The three shared passes run once, when the first row that reads them is
+    # measured. Rows are measured in table order, which draws from rng in a
+    # fixed order: round-trip states, entropy states, then the random circuit.
+    @functools.cache
+    def round_trip() -> dict[str, float]:
+        round_trip_dev = norm_dev = 0.0
+        for _ in range(_ROUND_TRIP_STATES):
+            psi = random_state(system, Representation.Q, rng)
+            phi = to_k_rep(psi)
+            norm_dev = max(norm_dev, _norm_dev(phi.amplitudes))
+            back = to_q_rep(phi)
+            round_trip_dev = max(
+                round_trip_dev, float(np.max(np.abs(back.amplitudes - psi.amplitudes)))
+            )
+        return {"round_trip": round_trip_dev, "norm": norm_dev}
+
+    @functools.cache
+    def sweep() -> dict[str, Any]:
+        labels = enumerate_labels(system)
+        oracle = dense_fourier_oracle(system)
+        transform_dev = columns_dev = eigen_dev = 0.0
+        waves = []
+        # Per label, not one batch over np.eye(dim): a batched tensordot rounds
+        # differently from per-vector calls, which would change measured values.
+        for col, k in enumerate(labels):
+            wave = planewave(k).amplitudes
+            transformed = to_q_rep(basis_state(k, Representation.K)).amplitudes
+            dev = float(np.max(np.abs(wave - transformed)))
+            transform_dev = max(transform_dev, dev)
+            # the other per-label parts run only for checks that are reported
+            if "transform_matches_dense_oracle" in reported:
+                dev = float(np.max(np.abs(transformed - oracle[:, col])))
+                columns_dev = max(columns_dev, dev)
+            if "planewave_orthonormality" in reported:
+                waves.append(wave)
+            if "planewave_eigenstate_relation" in reported:
+                for wire, kj in enumerate(k.digits):
+                    acted = apply_at(wave, d, n, (wire,), kq)
+                    dev = float(np.max(np.abs(acted - kj * wave)))
+                    eigen_dev = max(eigen_dev, dev)
+        return {
+            "labels": labels,
+            "transform": transform_dev,
+            # the conjugated planewaves, as rows, are unitary iff orthonormal
+            "gram": _unitarity_dev(np.conj(waves)) if waves else None,
+            "oracle": _unitarity_dev(oracle),
+            "columns": columns_dev,
+            "eigen": eigen_dev,
+        }
+
+    @functools.cache
+    def functional_table() -> dict[str, float]:
         circuit, _layout = build_functional_circuit(m, d)
         sub_labels = enumerate_labels(QuditSystem(m, d))
         width = d**m
@@ -214,83 +203,88 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
             )
             out[starts + functional_values(k), cols] -= 1.0
             func_dev = max(func_dev, float(np.max(np.abs(out))))
-        checks.append(_check("functional_circuit_exhaustive", func_dev, 1e-12, "<"))
-        checks.append(
-            _check("partition_matches_circuit", float(partition_mismatches), 0.5, "<")
+        return {"circuit": func_dev, "partition": partition_mismatches}
+
+    def min_entropy_sum() -> float:
+        return min(
+            entropies(random_state(system, Representation.Q, rng)).sum
+            for _ in range(_ENTROPY_STATES)
         )
 
-    if d == 3 and n == 2:
-        mismatches = 0
-        for k_digits, expected_classes in _QUTRIT_REFERENCE_PARTITIONS.items():
-            doc = partition_to_dict(partition(DigitLabel(k_digits, system)))
-            if doc["classes"] != expected_classes:
-                mismatches += 1
-        checks.append(
-            _check("qutrit_reference_partitions", float(mismatches), 0.5, "<")
-        )
+    def entropy_extremes_dev() -> float:
+        full_entropy = n * np.log(d)
+        dev = 0.0
+        for idx in {0, dim // 2, dim - 1}:
+            label = sweep()["labels"][idx]
+            basis_report = entropies(basis_state(label, Representation.Q))
+            dev = max(dev, abs(basis_report.h_q))
+            dev = max(dev, abs(basis_report.h_k - full_entropy))
+            wave_report = entropies(planewave(label))
+            dev = max(dev, abs(wave_report.h_q - full_entropy))
+            dev = max(dev, abs(wave_report.h_k))
+        return dev
 
-    checks.append(
-        _check(
-            "translation_identity",
-            max(verify_translation_identity(d, q) for q in range(d)),
-            1e-10,
-            "<",
-        )
+    def random_circuit_norm_dev() -> float:
+        gates = tuple(_random_gate(rng, n, d) for _ in range(_RANDOM_GATES))
+        state = random_state(system, Representation.Q, rng)
+        return _norm_dev(run_circuit(Circuit(system, gates), state).amplitudes)
+
+    # (name, condition, tolerance, comparison, measure), in report order; a
+    # check is measured and reported only when its condition holds
+    rows = (
+        ("single_qudit_fourier_unitary", True, 1e-12, "<",
+         lambda: _unitarity_dev(f)),
+        ("fourier_round_trip", True, 1e-12, "<",
+         lambda: round_trip()["round_trip"]),
+        ("fourier_norm_preservation", True, 1e-12, "<",
+         lambda: round_trip()["norm"]),
+        ("planewave_matches_transform", True, 1e-12, "<",
+         lambda: sweep()["transform"]),
+        ("planewave_orthonormality", dim <= 81, 1e-12, "<",
+         lambda: sweep()["gram"]),
+        ("dense_oracle_unitary", True, 1e-11, "<",
+         lambda: sweep()["oracle"]),
+        ("transform_matches_dense_oracle", dim <= 256, 1e-12, "<",
+         lambda: sweep()["columns"]),
+        ("controlled_add_block_structure", d * d <= ORACLE_DIM_CAP, 1e-12, "<",
+         lambda: _controlled_add_dev(d)),
+        ("functional_circuit_exhaustive", m >= 1, 1e-12, "<",
+         lambda: functional_table()["circuit"]),
+        ("partition_matches_circuit", m >= 1, 0.5, "<",
+         lambda: functional_table()["partition"]),
+        ("qutrit_reference_partitions", (d, n) == (3, 2), 0.5, "<",
+         lambda: _qutrit_reference_mismatches(system)),
+        ("translation_identity", True, 1e-10, "<",
+         lambda: max(verify_translation_identity(d, q) for q in range(d))),
+        ("wavenumber_observable_hermitian", True, 1e-12, "<",
+         lambda: np.max(np.abs(kq - kq.conj().T))),
+        ("wavenumber_observable_spectrum", True, 1e-10, "<",
+         lambda: np.max(np.abs(np.sort(np.linalg.eigvalsh(kq)) - np.arange(d)))),
+        ("planewave_eigenstate_relation", dim <= 81, 1e-10, "<",
+         lambda: sweep()["eigen"]),
+        ("commutator_nonzero", True, 0.1, ">",
+         lambda: commutator_qk(d)[1]),
+        ("entropy_sum_positive", True, 0.0, ">",
+         min_entropy_sum),
+        ("entropy_extremes", True, 1e-12, "<",
+         entropy_extremes_dev),
+        ("random_circuit_norm_drift", True, 1e-10, "<",
+         random_circuit_norm_dev),
     )
-
-    checks.append(
-        _check(
-            "wavenumber_observable_hermitian",
-            np.max(np.abs(kq - kq.conj().T)),
-            1e-12,
-            "<",
-        )
-    )
-    checks.append(
-        _check(
-            "wavenumber_observable_spectrum",
-            np.max(np.abs(np.sort(np.linalg.eigvalsh(kq)) - np.arange(d))),
-            1e-10,
-            "<",
-        )
-    )
-
-    if dim <= _EXHAUSTIVE_DIM_CAP:
-        checks.append(_check("planewave_eigenstate_relation", eigen_dev, 1e-10, "<"))
-
-    checks.append(_check("commutator_nonzero", commutator_qk(d)[1], 0.1, ">"))
-
-    min_sum = float("inf")
-    for _ in range(_ENTROPY_STATES):
-        report = entropies(random_state(system, Representation.Q, rng))
-        min_sum = min(min_sum, report.sum)
-    checks.append(_check("entropy_sum_positive", min_sum, 0.0, ">"))
-
-    full_entropy = n * np.log(d)
-    dev = 0.0
-    for idx in {0, dim // 2, dim - 1}:
-        label = labels[idx]
-        basis_report = entropies(basis_state(label, Representation.Q))
-        dev = max(dev, abs(basis_report.h_q))
-        dev = max(dev, abs(basis_report.h_k - full_entropy))
-        wave_report = entropies(planewave(label))
-        dev = max(dev, abs(wave_report.h_q - full_entropy))
-        dev = max(dev, abs(wave_report.h_k))
-    checks.append(_check("entropy_extremes", dev, 1e-12, "<"))
-
-    gates = tuple(_random_gate(rng, n, d) for _ in range(_RANDOM_GATES))
-    out = run_circuit(
-        Circuit(system, gates), random_state(system, Representation.Q, rng)
-    )
-    checks.append(
-        _check(
-            "random_circuit_norm_drift",
-            abs(float(np.sum(np.abs(out.amplitudes) ** 2)) - 1.0),
-            1e-10,
-            "<",
-        )
-    )
-
+    reported = {name for name, condition, *_ in rows if condition}
+    checks = []
+    for name, condition, tolerance, comparison, measure in rows:
+        if condition:
+            measured = float(measure())
+            checks.append(
+                {
+                    "name": name,
+                    "measured": measured,
+                    "tolerance": tolerance,
+                    "comparison": comparison,
+                    "pass": _COMPARISONS[comparison](measured, tolerance),
+                }
+            )
     return {
         "d": d,
         "n": n,

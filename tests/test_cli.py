@@ -536,6 +536,7 @@ def test_run_stdout_matches_golden_sha256(tmp_path, capsys, d, n):
 
 NAN_UNITARY = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 NON_UNITARY = [[[2, 0], [0, 0]], [[0, 0], [1, 0]]]
+STRING_AND_BOOL_UNITARY = [[["1", 0], [0, 0]], [[0, 0], [True, 0]]]
 
 
 @pytest.mark.parametrize(
@@ -552,10 +553,12 @@ NON_UNITARY = [[[2, 0], [0, 0]], [[0, 0], [1, 0]]]
         (3, {"kind": "ccadd", "k_control": 0, "j_control": 2, "target": 0}),
         (1, {"kind": "unitary", "target": 0, "matrix": NON_UNITARY}),
         (1, {"kind": "unitary", "target": 0, "matrix": [[[1, 0], [0, 0]]]}),
+        (1, {"kind": "unitary", "target": 0, "matrix": STRING_AND_BOOL_UNITARY}),
     ],
     ids=["bool-n", "float-amount", "bool-target", "integral-float-multiplier",
          "string-wire", "flat-matrix", "nan-matrix", "cadd-same-wire",
-         "ccadd-repeated-wire", "non-unitary", "one-by-two-matrix"],
+         "ccadd-repeated-wire", "non-unitary", "one-by-two-matrix",
+         "string-and-bool-matrix"],
 )
 def test_run_rejects_malformed_circuit_fields(tmp_path, capsys, n, gate):
     # the state matches the system a lax parser would read (true as n=1)
@@ -613,14 +616,22 @@ def test_transform_rejects_non_number_amplitude(tmp_path, capsys, element):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_transform_accepts_what_float_accepts(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv,amplitudes",
+    [
+        (["transform", "--to", "q"], '[["1", 0], [false, "0"]]'),
+        (["analyze"], '[[" 1e0 ", 0], [0, 0]]'),
+    ],
+    ids=["transform", "analyze"],
+)
+def test_string_and_boolean_amplitudes_exit_2(tmp_path, capsys, argv, amplitudes):
+    # float() would read each of these leaves as a number; JSON does not
     path = tmp_path / "lax.json"
-    path.write_text(
-        '{"n": 1, "d": 2, "rep": "q", "amplitudes": [["1", 0], [0, false]]}'
-    )
-    code, out, err = invoke(capsys, ["transform", "--in", str(path), "--to", "q"])
-    assert code == EXIT_OK, err
-    assert out == '{"n": 1, "d": 2, "rep": "q", "amplitudes": [[1, 0], [0, 0]]}\n'
+    path.write_text(f'{{"n": 1, "d": 2, "rep": "q", "amplitudes": {amplitudes}}}')
+    code, out, err = invoke(capsys, [argv[0], "--in", str(path), *argv[1:]])
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err == "error: amplitudes must be [re, im] pairs of numbers\n"
 
 
 def test_non_finite_payload_exits_2(monkeypatch, capsys):

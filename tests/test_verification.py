@@ -76,6 +76,16 @@ ABOVE_EXHAUSTIVE_CAP = [
 ABOVE_FACTORIZATION_CAP = [
     name for name in ABOVE_EXHAUSTIVE_CAP if name != "transform_matches_dense_oracle"
 ]
+# From d = 65 on, d² > 4096 drops the controlled-add check, and no functional
+# size fits the case cap (d >= 46), so both functional checks drop out too.
+ABOVE_CADD_CAP = [
+    name for name in BASE_CHECKS
+    if name not in (
+        "controlled_add_block_structure",
+        "functional_circuit_exhaustive",
+        "partition_matches_circuit",
+    )
+]
 
 
 @pytest.mark.parametrize(
@@ -87,6 +97,7 @@ ABOVE_FACTORIZATION_CAP = [
         (4, 3, BASE_CHECKS),
         (2, 7, ABOVE_EXHAUSTIVE_CAP),
         (2, 9, ABOVE_FACTORIZATION_CAP),
+        (65, 1, ABOVE_CADD_CAP),
     ],
 )
 def test_check_names_in_order(d, n, names):
@@ -100,7 +111,7 @@ def test_check_names_in_order(d, n, names):
         "partition_matches_circuit",
         "controlled_add_block_structure",
     ):
-        assert measured[name] == 0.0
+        assert measured.get(name, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("d,n,m", [(45, 1, 1), (46, 1, 0), (64, 1, 0)])
@@ -118,10 +129,45 @@ def test_functional_checks_drop_out_without_affordable_size(monkeypatch):
     ]
 
 
-def test_readme_lists_every_check_in_report_order():
+def readme_checks():
+    """(name, condition or None) for each check the README lists, in order."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
-    listed = re.findall(r"^  - `([a-z_]+)`", readme, flags=re.MULTILINE)
+    items = re.findall(r"^  - `([a-z_]+)`(.*(?:\n    .*)*)", readme, re.MULTILINE)
+    checks = []
+    for name, text in items:
+        condition = re.match(r"\((.*?)\):", " ".join(text.split()))
+        checks.append((name, condition and condition.group(1)))
+    return checks
+
+
+def test_readme_lists_every_check_in_report_order():
+    listed = [name for name, _ in readme_checks()]
     # (3, 2) is the one system whose report carries every check
     names = [c["name"] for c in run_verification(3, 2)["checks"]]
     assert len(names) == 19
     assert listed == names
+
+
+# Each README condition phrase, read independently of verification.py.
+README_CONDITIONS = {
+    "dim <= 81": lambda d, n: d**n <= 81,
+    "dim <= 256": lambda d, n: d**n <= 256,
+    "d² <= 4096": lambda d, n: d * d <= 4096,
+    "d <= 45, so that some functional size m >= 1 keeps the table within"
+    " d^(2m) <= 2048 cases": lambda d, n: d <= 45,
+    "d = 3, n = 2 only": lambda d, n: (d, n) == (3, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "d,n", [(2, 1), (2, 2), (3, 2), (3, 4), (2, 7), (2, 8), (2, 9), (65, 1)]
+)
+def test_readme_conditions_match_the_report(d, n):
+    expected = []
+    holds = None
+    for name, condition in readme_checks():
+        if condition != "same condition":
+            holds = README_CONDITIONS[condition] if condition else None
+        if holds is None or holds(d, n):
+            expected.append(name)
+    assert [c["name"] for c in run_verification(d, n)["checks"]] == expected
