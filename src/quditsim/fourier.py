@@ -10,10 +10,18 @@ exponent sum mod d.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ._tensor import apply_at
-from .groups import DigitLabel, QuditSystem, enumerate_labels, functional_values
+from .groups import (
+    _ORACLE_BLOCK,
+    DigitLabel,
+    QuditSystem,
+    enumerate_labels,
+    functional_values,
+)
 from .states import Representation, StateVector, require_rep
 
 
@@ -25,11 +33,19 @@ def single_qudit_fourier(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * exponents / d) / np.sqrt(d)
 
 
+@functools.cache
+def _fourier(d: int) -> np.ndarray:
+    """single_qudit_fourier(d), built once per d and read-only, for the transforms."""
+    f = single_qudit_fourier(d)
+    f.setflags(write=False)
+    return f
+
+
 def to_q_rep(phi: StateVector) -> StateVector:
     """Transform a k-rep state to the q-representation (F on every qudit)."""
     require_rep(phi, Representation.K)
     d, n = phi.system.d, phi.system.n
-    amps = apply_at(phi.amplitudes, d, n, range(n), single_qudit_fourier(d))
+    amps = apply_at(phi.amplitudes, d, n, range(n), _fourier(d))
     return StateVector(phi.system, Representation.Q, amps)
 
 
@@ -37,7 +53,7 @@ def to_k_rep(psi: StateVector) -> StateVector:
     """Transform a q-rep state to the k-representation (F dagger per qudit)."""
     require_rep(psi, Representation.Q)
     d, n = psi.system.d, psi.system.n
-    f_dag = single_qudit_fourier(d).conj().T
+    f_dag = _fourier(d).conj().T
     amps = apply_at(psi.amplitudes, d, n, range(n), f_dag)
     return StateVector(psi.system, Representation.K, amps)
 
@@ -57,12 +73,16 @@ def dense_fourier_oracle(system: QuditSystem) -> np.ndarray:
 
     Brute-force evaluation of the defining formula, independent of the
     per-qudit factorized path; intended for tests, so the dimension is
-    capped at ORACLE_DIM_CAP.
+    capped at ORACLE_DIM_CAP. Filled in row blocks, so no dim x dim exponent
+    table exists.
     """
     system.require_oracle_dim()
     digits = np.array([lab.digits for lab in enumerate_labels(system)])
-    exponents = (digits @ digits.T) % system.d
-    return _scaled_roots(system)[exponents]
+    oracle = np.empty((system.dim, system.dim), dtype=np.complex128)
+    for i in range(0, system.dim, _ORACLE_BLOCK):
+        exponents = (digits[i : i + _ORACLE_BLOCK] @ digits.T) % system.d
+        oracle[i : i + _ORACLE_BLOCK] = _scaled_roots(system)[exponents]
+    return oracle
 
 
 def _scaled_roots(system: QuditSystem) -> np.ndarray:

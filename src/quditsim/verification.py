@@ -44,6 +44,7 @@ from .gates import (
     translation_gate_matrix,
 )
 from .groups import (
+    _ORACLE_BLOCK,
     ORACLE_DIM_CAP,
     DigitLabel,
     QuditSystem,
@@ -70,7 +71,16 @@ _QUTRIT_REFERENCE_PARTITIONS = {
 
 
 def _unitarity_dev(u: np.ndarray) -> float:
-    return float(np.max(np.abs(u @ u.conj().T - np.eye(len(u)))))
+    """max |U U† - 1| over the diagonal and upper blocks; U U† is Hermitian."""
+    dev = 0.0
+    for j in range(0, len(u), _ORACLE_BLOCK):
+        adjoint_cols = u[j : j + _ORACLE_BLOCK].conj().T
+        for i in range(0, j + 1, _ORACLE_BLOCK):
+            block = u[i : i + _ORACLE_BLOCK] @ adjoint_cols
+            if i == j:
+                block[np.diag_indices(len(block))] -= 1.0
+            dev = max(dev, float(np.max(np.abs(block))))
+    return dev
 
 
 def _norm_dev(amplitudes: np.ndarray) -> float:

@@ -200,7 +200,11 @@ def test_dense_oracle_agrees_with_transform(d, n):
         assert np.max(np.abs(via_matrix - via_transform)) < 1e-12
 
 
-@pytest.mark.parametrize("d,n", [(3, 2), (6, 2), (2, 8), (16, 2)])
+# (2, 10) fills whole row blocks, (3, 6) ends in a ragged one, and the rest
+# fit in one
+@pytest.mark.parametrize(
+    "d,n", [(3, 2), (6, 2), (2, 8), (16, 2), (2, 10), (3, 6), (17, 2)]
+)
 def test_dense_oracle_bitwise_from_index_digits(d, n):
     rows = np.indices((d,) * n).reshape(n, -1).T
     exponents = (rows @ rows.T) % d
@@ -249,6 +253,17 @@ def test_transforms_bytes_equal_wire_by_wire(d, n):
     phi = random_state(system, K, rng)
     expected = _wire_by_wire(phi.amplitudes, d, n, range(n), f)
     assert to_q_rep(phi).amplitudes.tobytes() == expected.tobytes()
+
+
+def test_single_qudit_fourier_is_fresh_and_writable():
+    # the transforms share one read-only matrix per d; the public builder
+    # hands out a new array, so a caller's edit reaches no transform
+    phi = random_state(QuditSystem(2, 3), K, np.random.default_rng(41))
+    before = to_q_rep(phi).amplitudes.tobytes()
+    f = single_qudit_fourier(3)
+    assert f.flags.writeable and f is not single_qudit_fourier(3)
+    f[:] = 0
+    assert to_q_rep(phi).amplitudes.tobytes() == before
 
 
 @pytest.mark.parametrize("d,n", BYTE_SYSTEMS)

@@ -1,13 +1,17 @@
 import re
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quditsim.verification as verification
-from quditsim import run_verification
+from quditsim import QuditSystem, dense_fourier_oracle, run_verification
 
 
-@pytest.mark.parametrize("d,n", [(3, 2), (2, 1), (2, 3), (4, 2), (6, 2)])
+# (3, 6) has 729 amplitudes, so its dense oracle spans three row blocks, the
+# last one ragged
+@pytest.mark.parametrize("d,n", [(3, 2), (2, 1), (2, 3), (4, 2), (6, 2), (3, 6)])
 def test_sweep_passes(d, n):
     report = run_verification(d, n)
     assert report["all_pass"], [c for c in report["checks"] if not c["pass"]]
@@ -171,3 +175,34 @@ def test_readme_conditions_match_the_report(d, n):
         if holds is None or holds(d, n):
             expected.append(name)
     assert [c["name"] for c in run_verification(d, n)["checks"]] == expected
+
+
+def _one_product_dev(u):
+    return float(np.max(np.abs(u @ u.conj().T - np.eye(len(u)))))
+
+
+def test_blocked_unitarity_dev_matches_one_product():
+    oracle = dense_fourier_oracle(QuditSystem(10, 2))
+    assert abs(verification._unitarity_dev(oracle) - _one_product_dev(oracle)) <= 1e-15
+
+
+def test_blocked_unitarity_dev_sees_a_change_in_the_last_row():
+    # Only row dim-1 of O changes, so only row and column dim-1 of O O†
+    # change; that column lies in the upper blocks the check keeps. Its
+    # diagonal entry moves by about 2 * 1e-6 / sqrt(1024) = 6.25e-8.
+    oracle = dense_fourier_oracle(QuditSystem(10, 2))
+    oracle[-1, 0] += 1e-6
+    dev = verification._unitarity_dev(oracle)
+    assert dev >= 6e-8
+    assert abs(dev - _one_product_dev(oracle)) <= 1e-15
+
+
+def test_unitarity_dev_scratch_stays_below_one_oracle():
+    oracle = dense_fourier_oracle(QuditSystem(11, 2))
+    tracemalloc.start()
+    try:
+        verification._unitarity_dev(oracle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < oracle.nbytes
