@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -275,3 +276,44 @@ def test_multi_wire_apply_at_on_batches(d, n):
         got = apply_at(batch, d, n, wires, f)
         assert got.shape == batch.shape
         assert got.tobytes() == _wire_by_wire(batch, d, n, wires, f).tobytes()
+
+
+def _tensordot_chain(amps, d, n, wires, matrix):
+    # the contraction apply_at must reproduce bit for bit: one tensordot
+    # against each wire of the (d,)*n + batch view, moved back into place
+    arr = amps.reshape((d,) * n + amps.shape[1:])
+    for wire in wires:
+        arr = np.moveaxis(np.tensordot(matrix, arr, axes=(1, wire)), 0, wire)
+    return arr.reshape(amps.shape)
+
+
+@pytest.mark.parametrize("d,n", BYTE_SYSTEMS + [(2, 1), (3, 2), (17, 2), (64, 2)])
+def test_apply_at_bytes_equal_tensordot_chain(d, n):
+    rng = np.random.default_rng(43)
+    f = single_qudit_fourier(d)
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    matrices = {"F": f, "F^dagger": f.conj().T, "QR": np.linalg.qr(z)[0]}
+    assert matrices["F^dagger"].flags.f_contiguous  # the layout to_k_rep passes
+    wire_lists = {
+        "forward": range(n),
+        "reversed": range(n - 1, -1, -1),
+        "last-first-last": (n - 1, 0, n - 1),
+        "first": (0,),
+        "last": (n - 1,),
+    }
+    dim = d**n
+    inputs = {}
+    for batch in [(), (1,), (3,), (2, 2)]:
+        shape = (dim,) + batch
+        inputs[batch] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # one-hot vectors as verify's per-label sweep feeds them
+    for index in {0, 1, dim // 2, dim - 1}:
+        inputs[("one-hot", index)] = np.eye(1, dim, index, dtype=np.complex128)[0]
+    for (mname, matrix), (wname, wires) in itertools.product(
+        matrices.items(), wire_lists.items()
+    ):
+        for key, amps in inputs.items():
+            got = apply_at(amps, d, n, wires, matrix)
+            want = _tensordot_chain(amps, d, n, wires, matrix)
+            assert got.shape == amps.shape
+            assert got.tobytes() == want.tobytes(), (mname, wname, key)

@@ -47,6 +47,32 @@ def test_from_amplitudes_rejects_unnormalized():
         from_amplitudes(QuditSystem(1, 2), Q, [1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "amps",
+    [
+        [math.nan, 0.0],
+        [math.inf, 0.0],
+        [-math.inf, 0.0],
+        [complex(math.inf, math.nan), 0.0],
+        [1e200, 0.0],  # finite, but its square overflows
+    ],
+    ids=["nan", "inf", "-inf", "inf+nanj", "1e200"],
+)
+def test_from_amplitudes_rejects_non_finite(amps):
+    with pytest.raises(ValueError, match="non-finite"):
+        from_amplitudes(QuditSystem(1, 2), Q, amps)
+
+
+def test_norm_tolerance_edges():
+    system = QuditSystem(1, 2)
+    with pytest.raises(ValueError, match="not normalized"):
+        from_amplitudes(system, Q, [math.sqrt(1 + 2e-10), 0.0])
+    with pytest.raises(ValueError, match="not normalized"):
+        from_amplitudes(system, Q, [math.sqrt(1 - 2e-10), 0.0])
+    from_amplitudes(system, Q, [math.sqrt(1 + 5e-11), 0.0])
+    from_amplitudes(system, Q, [0.0, 1j * math.sqrt(1 - 5e-11)])
+
+
 def test_from_amplitudes_rejects_wrong_length():
     with pytest.raises(ValueError, match="expected 4 amplitudes"):
         from_amplitudes(QuditSystem(2, 2), Q, [1.0, 0.0])
