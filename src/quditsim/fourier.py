@@ -78,10 +78,11 @@ def dense_fourier_oracle(system: QuditSystem) -> np.ndarray:
     """
     system.require_oracle_dim()
     digits = np.array([lab.digits for lab in enumerate_labels(system)])
+    roots = _scaled_roots(system)
     oracle = np.empty((system.dim, system.dim), dtype=np.complex128)
     for i in range(0, system.dim, _ORACLE_BLOCK):
         exponents = (digits[i : i + _ORACLE_BLOCK] @ digits.T) % system.d
-        oracle[i : i + _ORACLE_BLOCK] = _scaled_roots(system)[exponents]
+        oracle[i : i + _ORACLE_BLOCK] = roots[exponents]
     return oracle
 
 

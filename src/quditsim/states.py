@@ -29,7 +29,10 @@ class StateVector:
     Construction copies the amplitudes into an owned read-only complex128
     buffer and rejects non-finite amplitudes and squared norms off 1 by more
     than NORM_TOL; amplitudes are stored exactly as given, never rescaled.
-    This is the one norm check: run_circuit makes it once, on its output.
+    The squared norm is the real part of one np.vdot(amps, amps): a sum of
+    non-negative terms, non-finite whenever an amplitude is non-finite or its
+    square overflows. This is the one norm check: run_circuit makes it once,
+    on its output.
     """
 
     system: QuditSystem
@@ -42,7 +45,7 @@ class StateVector:
             raise ValueError(
                 f"expected {self.system.dim} amplitudes, got shape {amps.shape}"
             )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        norm_sq = float(np.vdot(amps, amps).real)
         if not math.isfinite(norm_sq):
             raise ValueError(
                 f"state has non-finite amplitudes: sum |a|^2 = {norm_sq!r}"

@@ -162,7 +162,7 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
         oracle = dense_fourier_oracle(system)
         transform_dev = columns_dev = eigen_dev = 0.0
         waves = []
-        # Per label, not one batch over np.eye(dim): a batched tensordot rounds
+        # Per label, not one batch over np.eye(dim): a batched contraction rounds
         # differently from per-vector calls, which would change measured values.
         for col, k in enumerate(labels):
             wave = planewave(k).amplitudes

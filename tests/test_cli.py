@@ -600,6 +600,20 @@ def test_transform_rejects_nan_amplitude(tmp_path, capsys):
     assert "non-finite" in err and err.count("\n") == 1
 
 
+def test_overflowing_amplitude_is_one_stderr_line(tmp_path):
+    # 1e200 is finite but its square is not; in a fresh process no numpy
+    # overflow warning may reach stderr beside the one error line
+    path = tmp_path / "big.json"
+    path.write_text('{"n": 1, "d": 2, "rep": "q", "amplitudes": [[1e200, 0], [0, 0]]}')
+    cmd = [sys.executable, "-m", "quditsim", "analyze", "--in", str(path)]
+    result = subprocess.run(cmd, capture_output=True, text=True)
+    assert result.returncode == EXIT_VALIDATION
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: state has non-finite amplitudes: sum |a|^2 = inf\n"
+    )
+
+
 @pytest.mark.parametrize(
     "element",
     ["{}", "null", "1" + "0" * 399],
