@@ -4,9 +4,8 @@ Everything here avoids materializing d**n x d**n operators: apply_at
 contracts a single-qudit matrix against each listed wire of one (d,)*n view
 of a (d**n, *batch) buffer, and marginals sum that view over other wires.
 apply_at runs, per wire, the transpose, copy and dot that np.tensordot runs
-on the same arguments, without its argument bookkeeping, so its bits equal
-np.tensordot's. This module is the only place in the package that contracts
-arrays with np.dot.
+on the same arguments, so its bits equal np.tensordot's; it is the package's
+one contraction path.
 """
 
 from __future__ import annotations
@@ -22,10 +21,10 @@ def apply_at(
     """Apply a d x d matrix to each listed qudit, in order; O(d**(n+1)) per wire.
 
     `amps` has shape (d**n, *batch); the result has the same shape. Each wire
-    is brought to the front, flattened to (d, -1) (a copy unless already
-    contiguous), multiplied by `matrix` with one np.dot and moved back: the
-    operations np.moveaxis(np.tensordot(matrix, arr, axes=(1, wire)), 0, wire)
-    performs, so the result is bitwise equal to that chain.
+    is moved to the front and flattened to (d, -1), a copy unless already
+    contiguous, multiplied by `matrix` with one np.dot and moved back: what
+    np.moveaxis(np.tensordot(matrix, arr, axes=(1, wire)), 0, wire) does,
+    without its argument handling, so the bits are the same.
     """
     arr = amps.reshape((d,) * n + amps.shape[1:])
     axes = tuple(range(arr.ndim))
