@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import quditsim.fourier as fourier
 import quditsim.verification as verification
-from quditsim import QuditSystem, dense_fourier_oracle, run_verification
+from quditsim import DigitLabel, QuditSystem, dense_fourier_oracle, run_verification
 
 
 # (3, 6) has 729 amplitudes, so its dense oracle spans three row blocks, the
@@ -131,6 +132,62 @@ def test_functional_checks_drop_out_without_affordable_size(monkeypatch):
         name for name in BASE_CHECKS
         if name not in ("functional_circuit_exhaustive", "partition_matches_circuit")
     ]
+
+
+def _failing(d, n):
+    return {c["name"] for c in run_verification(d, n)["checks"] if not c["pass"]}
+
+
+# Each Fourier row must catch a broken planewave or oracle on its own: the
+# mutations below replace a verification module global and pin the exact
+# set of rows that fail.
+def test_digit_reversed_planewaves_fail_the_transform_rows(monkeypatch):
+    def reversed_wave(k):
+        return fourier.planewave(DigitLabel(k.digits[::-1], k.system))
+
+    monkeypatch.setattr(verification, "planewave", reversed_wave)
+    assert _failing(3, 2) == {
+        "planewave_matches_transform",
+        "planewave_eigenstate_relation",
+    }
+
+
+def test_repeated_planewave_fails_orthonormality(monkeypatch):
+    def repeated_wave(k):
+        if k.digits == (1, 1):
+            k = DigitLabel((0, 0), k.system)
+        return fourier.planewave(k)
+
+    monkeypatch.setattr(verification, "planewave", repeated_wave)
+    assert _failing(3, 2) == {
+        "planewave_matches_transform",
+        "planewave_orthonormality",
+        "planewave_eigenstate_relation",
+    }
+
+
+def test_conjugated_oracle_fails_only_the_column_check(monkeypatch):
+    monkeypatch.setattr(
+        verification, "dense_fourier_oracle",
+        lambda system: np.conj(dense_fourier_oracle(system)),
+    )
+    assert _failing(3, 2) == {"transform_matches_dense_oracle"}
+
+
+@pytest.mark.parametrize(
+    "d,n,failing",
+    [
+        (3, 2, {"dense_oracle_unitary", "transform_matches_dense_oracle"}),
+        # 512 amplitudes: above the column check's 256 cap
+        (2, 9, {"dense_oracle_unitary"}),
+    ],
+)
+def test_scaled_oracle_fails_unitarity(monkeypatch, d, n, failing):
+    monkeypatch.setattr(
+        verification, "dense_fourier_oracle",
+        lambda system: dense_fourier_oracle(system) * (1 + 1e-9),
+    )
+    assert _failing(d, n) == failing
 
 
 def readme_checks():
