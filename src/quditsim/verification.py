@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections.abc import Iterable, Iterator
 from typing import Any
 
 import numpy as np
@@ -139,10 +140,12 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
     m = _functional_size(d, n)
     f = single_qudit_fourier(d)
     kq = k_observable_in_q_rep(d).matrix
+    labels = enumerate_labels(system)
 
-    # The three shared passes run once, when the first row that reads them is
-    # measured. Rows are measured in table order, which draws from rng in a
-    # fixed order: round-trip states, entropy states, then the random circuit.
+    # The two shared passes, the round trip and the functional table, run
+    # once, when the first row that reads them is measured. Rows are measured
+    # in table order, which draws from rng in a fixed order: round-trip
+    # states, entropy states, then the random circuit.
     @functools.cache
     def round_trip() -> dict[str, float]:
         round_trip_dev = norm_dev = 0.0
@@ -156,39 +159,26 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
             )
         return {"round_trip": round_trip_dev, "norm": norm_dev}
 
-    @functools.cache
-    def sweep() -> dict[str, Any]:
-        labels = enumerate_labels(system)
-        oracle = dense_fourier_oracle(system)
-        transform_dev = columns_dev = eigen_dev = 0.0
-        waves = []
-        # Per label, not one batch over np.eye(dim): a batched contraction rounds
-        # differently from per-vector calls, which would change measured values.
-        for col, k in enumerate(labels):
-            wave = planewave(k).amplitudes
-            transformed = to_q_rep(basis_state(k, Representation.K)).amplitudes
-            dev = float(np.max(np.abs(wave - transformed)))
-            transform_dev = max(transform_dev, dev)
-            # the other per-label parts run only for checks that are reported
-            if "transform_matches_dense_oracle" in reported:
-                dev = float(np.max(np.abs(transformed - oracle[:, col])))
-                columns_dev = max(columns_dev, dev)
-            if "planewave_orthonormality" in reported:
-                waves.append(wave)
-            if "planewave_eigenstate_relation" in reported:
-                for wire, kj in enumerate(k.digits):
-                    acted = apply_at(wave, d, n, (wire,), kq)
-                    dev = float(np.max(np.abs(acted - kj * wave)))
-                    eigen_dev = max(eigen_dev, dev)
-        return {
-            "labels": labels,
-            "transform": transform_dev,
-            # the conjugated planewaves, as rows, are unitary iff orthonormal
-            "gram": _unitarity_dev(np.conj(waves)) if waves else None,
-            "oracle": _unitarity_dev(oracle),
-            "columns": columns_dev,
-            "eigen": eigen_dev,
-        }
+    def waves() -> Iterator[np.ndarray]:
+        return (planewave(k).amplitudes for k in labels)
+
+    def transform_dev(columns: Iterable[np.ndarray]) -> float:
+        # Column k against the transform of basis functional k, per label, not
+        # one batch over np.eye(dim): a batched contraction rounds differently
+        # from per-vector calls, which would change measured values.
+        return max(
+            float(np.max(np.abs(
+                col - to_q_rep(basis_state(k, Representation.K)).amplitudes
+            )))
+            for k, col in zip(labels, columns)
+        )
+
+    def eigen_dev() -> float:
+        return max(
+            float(np.max(np.abs(apply_at(wave, d, n, (wire,), kq) - kj * wave)))
+            for k, wave in zip(labels, waves())
+            for wire, kj in enumerate(k.digits)
+        )
 
     @functools.cache
     def functional_table() -> dict[str, float]:
@@ -225,7 +215,7 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
         full_entropy = n * np.log(d)
         dev = 0.0
         for idx in {0, dim // 2, dim - 1}:
-            label = sweep()["labels"][idx]
+            label = labels[idx]
             basis_report = entropies(basis_state(label, Representation.Q))
             dev = max(dev, abs(basis_report.h_q))
             dev = max(dev, abs(basis_report.h_k - full_entropy))
@@ -249,13 +239,14 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
         ("fourier_norm_preservation", True, 1e-12, "<",
          lambda: round_trip()["norm"]),
         ("planewave_matches_transform", True, 1e-12, "<",
-         lambda: sweep()["transform"]),
+         lambda: transform_dev(waves())),
+        # the conjugated planewaves, as rows, are unitary iff orthonormal
         ("planewave_orthonormality", dim <= 81, 1e-12, "<",
-         lambda: sweep()["gram"]),
+         lambda: _unitarity_dev(np.conj(list(waves())))),
         ("dense_oracle_unitary", True, 1e-11, "<",
-         lambda: sweep()["oracle"]),
+         lambda: _unitarity_dev(dense_fourier_oracle(system))),
         ("transform_matches_dense_oracle", dim <= 256, 1e-12, "<",
-         lambda: sweep()["columns"]),
+         lambda: transform_dev(dense_fourier_oracle(system).T)),
         ("controlled_add_block_structure", d * d <= ORACLE_DIM_CAP, 1e-12, "<",
          lambda: _controlled_add_dev(d)),
         ("functional_circuit_exhaustive", m >= 1, 1e-12, "<",
@@ -271,7 +262,7 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
         ("wavenumber_observable_spectrum", True, 1e-10, "<",
          lambda: np.max(np.abs(np.sort(np.linalg.eigvalsh(kq)) - np.arange(d)))),
         ("planewave_eigenstate_relation", dim <= 81, 1e-10, "<",
-         lambda: sweep()["eigen"]),
+         eigen_dev),
         ("commutator_nonzero", True, 0.1, ">",
          lambda: commutator_qk(d)[1]),
         ("entropy_sum_positive", True, 0.0, ">",
@@ -281,7 +272,6 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
         ("random_circuit_norm_drift", True, 1e-10, "<",
          random_circuit_norm_dev),
     )
-    reported = {name for name, condition, *_ in rows if condition}
     checks = []
     for name, condition, tolerance, comparison, measure in rows:
         if condition:
