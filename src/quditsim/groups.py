@@ -34,6 +34,13 @@ class QuditSystem:
     d: int
 
     def __post_init__(self) -> None:
+        # stored as Python ints, so d**n cannot wrap as numpy integers do
+        for name in ("n", "d"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} {value!r} is not an integer") from None
         if self.n < 1:
             raise ValueError(f"need at least one qudit, got n={self.n}")
         if self.d < 2:

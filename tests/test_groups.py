@@ -40,6 +40,21 @@ def test_huge_n_rejected_before_the_power():
         QuditSystem(63, 2)
 
 
+def test_numpy_integer_sizes_do_not_wrap():
+    # np.int64(3)**40 wraps to -6289078614652622815 before any bound sees it
+    with pytest.raises(ValueError, match="platform index range"):
+        QuditSystem(40, np.int64(3))
+    system = QuditSystem(np.int64(2), np.uint8(3))
+    assert type(system.n) is int and type(system.d) is int
+    assert type(system.dim) is int and system.dim == 9
+
+
+@pytest.mark.parametrize("n,d", [(2.0, 3), (2, 3.0), ("2", 3), (2, None)])
+def test_non_integer_sizes_rejected(n, d):
+    with pytest.raises(ValueError, match="is not an integer"):
+        QuditSystem(n, d)
+
+
 def test_label_validation():
     sys32 = QuditSystem(2, 3)
     with pytest.raises(ValueError):
