@@ -175,6 +175,24 @@ def test_entropies_base_conversion():
     assert nats.log_base == "e"
 
 
+@pytest.mark.parametrize("base", [1, 0, -2, math.nan])
+def test_bad_log_base_rejected(base):
+    state = from_amplitudes(QuditSystem(1, 2), Q, [1 / math.sqrt(2)] * 2)
+    message = f"log base must be positive and not 1, got {base!r}"
+    with pytest.raises(ValueError) as info:
+        shannon_entropy(np.array([0.5, 0.5]), base=base)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        entropies(state, base=base)
+    assert str(info.value) == message
+
+
+def test_base_two_entropy_unchanged():
+    # one bit, exactly: ln 2 / ln 2
+    assert shannon_entropy(np.array([0.5, 0.5]), base=2) == 1.0
+    assert shannon_entropy(np.array([0.25] * 4), base=2) == 2.0
+
+
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (6, 2)])
 def test_entropy_sum_strictly_positive(d, n):
     rng = np.random.default_rng(61)
