@@ -15,13 +15,7 @@ import functools
 import numpy as np
 
 from ._tensor import apply_at
-from .groups import (
-    _ORACLE_BLOCK,
-    DigitLabel,
-    QuditSystem,
-    enumerate_labels,
-    functional_values,
-)
+from .groups import _ORACLE_BLOCK, DigitLabel, QuditSystem, functional_values
 from .states import Representation, StateVector, require_rep
 
 
@@ -77,7 +71,7 @@ def dense_fourier_oracle(system: QuditSystem) -> np.ndarray:
     table exists.
     """
     system.require_oracle_dim()
-    digits = np.array([lab.digits for lab in enumerate_labels(system)])
+    digits = np.indices((system.d,) * system.n).reshape(system.n, -1).T
     roots = _scaled_roots(system)
     oracle = np.empty((system.dim, system.dim), dtype=np.complex128)
     for i in range(0, system.dim, _ORACLE_BLOCK):
