@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the PASS/FAIL lines.
 Each test asserts its stated numerical tolerance and its runtime budget.
 """
 
+import gc
 import json
 import math
 import subprocess
@@ -57,6 +58,10 @@ def _warmup():
     to_k_rep(planewave(DigitLabel((1, 1), system)))
     partition(DigitLabel((1, 1), system))
     np.linalg.eigvalsh(np.eye(4))
+    # a full collection of the whole test session's heap took about 18 ms
+    # and, once the session had enough tests, fell inside criterion 01's
+    # 1 ms window; run it here, outside every timed region
+    gc.collect()
 
 
 def _finish(name: str, ok: bool, detail: str, elapsed: float, budget: float):
