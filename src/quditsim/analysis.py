@@ -119,8 +119,8 @@ def commutator_qk(d: int) -> tuple[np.ndarray, float]:
 
 def shannon_entropy(probs: np.ndarray, base: float | None = None) -> float:
     """-sum p log p with 0 log 0 = 0; natural log unless a base is given."""
-    if base is not None and not (base > 0 and base != 1):
-        raise ValueError(f"log base must be positive and not 1, got {base!r}")
+    if base is not None and not (0 < base < math.inf and base != 1):
+        raise ValueError(f"log base must be finite, positive and not 1, got {base!r}")
     p = np.asarray(probs, dtype=float)
     p = p[p > 0]
     h = float(-(p * np.log(p)).sum()) + 0.0  # avoid -0.0 for point masses

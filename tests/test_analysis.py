@@ -175,10 +175,11 @@ def test_entropies_base_conversion():
     assert nats.log_base == "e"
 
 
-@pytest.mark.parametrize("base", [1, 0, -2, math.nan])
+# an infinite base would divide every entropy down to 0.0
+@pytest.mark.parametrize("base", [1, 0, -2, math.nan, math.inf])
 def test_bad_log_base_rejected(base):
     state = from_amplitudes(QuditSystem(1, 2), Q, [1 / math.sqrt(2)] * 2)
-    message = f"log base must be positive and not 1, got {base!r}"
+    message = f"log base must be finite, positive and not 1, got {base!r}"
     with pytest.raises(ValueError) as info:
         shannon_entropy(np.array([0.5, 0.5]), base=base)
     assert str(info.value) == message
