@@ -58,9 +58,9 @@ def _warmup():
     to_k_rep(planewave(DigitLabel((1, 1), system)))
     partition(DigitLabel((1, 1), system))
     np.linalg.eigvalsh(np.eye(4))
-    # a full collection of the whole test session's heap took about 18 ms
-    # and, once the session had enough tests, fell inside criterion 01's
-    # 1 ms window; run it here, outside every timed region
+    # a full collection of the whole test session's heap is many times
+    # criterion 01's 1 ms budget, and whether one falls inside its window
+    # depends on how many tests were collected; run it here, untimed
     gc.collect()
 
 
