@@ -67,20 +67,40 @@ def dense_fourier_oracle(system: QuditSystem) -> np.ndarray:
 
     Brute-force evaluation of the defining formula, independent of the
     per-qudit factorized path; intended for tests, so the dimension is
-    capped at ORACLE_DIM_CAP. Filled in row blocks, so no dim x dim exponent
-    table exists.
+    capped at ORACLE_DIM_CAP. Filled in row blocks from _oracle_exponents.
     """
-    system.require_oracle_dim()
-    digits = np.indices((system.d,) * system.n).reshape(system.n, -1).T
+    exponents = _oracle_exponents(system)
     roots = _scaled_roots(system)
     oracle = np.empty((system.dim, system.dim), dtype=np.complex128)
     for i in range(0, system.dim, _ORACLE_BLOCK):
-        exponents = (digits[i : i + _ORACLE_BLOCK] @ digits.T) % system.d
-        oracle[i : i + _ORACLE_BLOCK] = roots[exponents]
+        rows = slice(i, i + _ORACLE_BLOCK)
+        # mode="clip" writes straight into out; "raise" fills a temporary first
+        roots.take(exponents[rows], out=oracle[rows], mode="clip")
     return oracle
 
 
+def _oracle_exponents(system: QuditSystem) -> np.ndarray:
+    """The dim x dim table of k.q mod d, so the oracle is _scaled_roots(system)[table].
+
+    Built in row blocks, in the smallest unsigned dtype that holds d - 1:
+    one byte per entry for d <= 256.
+    """
+    system.require_oracle_dim()
+    d, dim = system.d, system.dim
+    digits = np.indices((d,) * system.n).reshape(system.n, -1).T
+    table = np.empty((dim, dim), dtype=np.min_scalar_type(d - 1))
+    for i in range(0, dim, _ORACLE_BLOCK):
+        table[i : i + _ORACLE_BLOCK] = (digits[i : i + _ORACLE_BLOCK] @ digits.T) % d
+    return table
+
+
+@functools.cache
 def _scaled_roots(system: QuditSystem) -> np.ndarray:
-    """omega**v / sqrt(d**n) for v in [0, d): every value a planewave entry takes."""
+    """omega**v / sqrt(d**n) for v in [0, d): every value a planewave entry takes.
+
+    Built once per system and read-only.
+    """
     d = system.d
-    return np.exp(2j * np.pi * np.arange(d) / d) / np.sqrt(system.dim)
+    roots = np.exp(2j * np.pi * np.arange(d) / d) / np.sqrt(system.dim)
+    roots.setflags(write=False)
+    return roots

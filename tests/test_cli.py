@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -433,6 +434,27 @@ def test_verify_byte_identical_across_processes():
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")
+
+
+def test_verify_verdicts_agree_across_blas_thread_counts():
+    # stdout is byte-identical for one numpy/BLAS build and thread count; a
+    # different thread count may split a matrix product differently and move
+    # a measured value in its last bits, but never a check or its verdict
+    verdicts = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env.update(dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads
+        ))
+        cmd = [sys.executable, "-m", "quditsim", "verify", "--d", "3", "--n", "5"]
+        result = subprocess.run(cmd, capture_output=True, env=env, check=True)
+        report = json.loads(result.stdout)
+        verdicts.append((report["all_pass"], [
+            (c["name"], c["tolerance"], c["comparison"], c["pass"])
+            for c in report["checks"]
+        ]))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][0] is True
 
 
 def test_commands_byte_identical_in_process(tmp_path, capsys):

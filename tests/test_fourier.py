@@ -20,6 +20,7 @@ from quditsim import (
     to_q_rep,
 )
 from quditsim._tensor import apply_at
+from quditsim.fourier import _oracle_exponents, _scaled_roots
 from quditsim.groups import functional_values
 
 Q = Representation.Q
@@ -211,6 +212,23 @@ def test_dense_oracle_bitwise_from_index_digits(d, n):
     exponents = (rows @ rows.T) % d
     expected = np.exp(2j * np.pi * exponents / d) / np.sqrt(d**n)
     assert np.array_equal(dense_fourier_oracle(QuditSystem(n, d)), expected)
+
+
+@pytest.mark.parametrize(
+    "d,n,dtype",
+    [(2, 3, np.uint8), (16, 2, np.uint8), (256, 1, np.uint8), (257, 1, np.uint16)],
+)
+def test_oracle_exponent_table_is_the_smallest_unsigned_type(d, n, dtype):
+    table = _oracle_exponents(QuditSystem(n, d))
+    rows = np.indices((d,) * n).reshape(n, -1).T
+    assert table.dtype == dtype
+    assert np.array_equal(table, (rows @ rows.T) % d)
+
+
+def test_scaled_roots_built_once_per_system_and_read_only():
+    roots = _scaled_roots(QuditSystem(3, 5))
+    assert roots is _scaled_roots(QuditSystem(3, 5))
+    assert not roots.flags.writeable
 
 
 def test_dense_oracle_scale_cap():

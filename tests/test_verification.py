@@ -166,11 +166,19 @@ def test_repeated_planewave_fails_orthonormality(monkeypatch):
     }
 
 
+def _mutated_oracle_rows(mutate):
+    """verification._oracle_rows with every oracle entry passed through mutate."""
+    oracle_rows = verification._oracle_rows
+
+    def rows(system):
+        exponents, roots = oracle_rows(system)
+        return exponents, mutate(roots)
+
+    return rows
+
+
 def test_conjugated_oracle_fails_only_the_column_check(monkeypatch):
-    monkeypatch.setattr(
-        verification, "dense_fourier_oracle",
-        lambda system: np.conj(dense_fourier_oracle(system)),
-    )
+    monkeypatch.setattr(verification, "_oracle_rows", _mutated_oracle_rows(np.conj))
     assert _failing(3, 2) == {"transform_matches_dense_oracle"}
 
 
@@ -184,8 +192,8 @@ def test_conjugated_oracle_fails_only_the_column_check(monkeypatch):
 )
 def test_scaled_oracle_fails_unitarity(monkeypatch, d, n, failing):
     monkeypatch.setattr(
-        verification, "dense_fourier_oracle",
-        lambda system: dense_fourier_oracle(system) * (1 + 1e-9),
+        verification, "_oracle_rows",
+        _mutated_oracle_rows(lambda roots: roots * (1 + 1e-9)),
     )
     assert _failing(d, n) == failing
 
@@ -263,3 +271,22 @@ def test_unitarity_dev_scratch_stays_below_one_oracle():
     finally:
         tracemalloc.stop()
     assert peak < oracle.nbytes
+
+
+def test_streamed_oracle_unitarity_scratch_stays_below_half_an_oracle():
+    # The streamed row holds a one-byte exponent table and two row blocks,
+    # never the 16·dim² bytes of the complex oracle.
+    system = QuditSystem(11, 2)
+    tracemalloc.start()
+    try:
+        verification._unitarity_dev(*verification._oracle_rows(system))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * system.dim**2 / 2
+
+
+def test_streamed_oracle_unitarity_matches_the_dense_oracle():
+    for system in (QuditSystem(6, 3), QuditSystem(2, 17)):
+        streamed = verification._unitarity_dev(*verification._oracle_rows(system))
+        assert streamed == verification._unitarity_dev(dense_fourier_oracle(system))
