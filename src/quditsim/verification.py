@@ -29,6 +29,7 @@ from .analysis import (
 )
 from ._tensor import apply_at
 from .fourier import (
+    _basis_transforms,
     _oracle_exponents,
     _scaled_roots,
     planewave,
@@ -170,6 +171,8 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
     f = single_qudit_fourier(d)
     kq = k_observable_in_q_rep(d).matrix
     labels = enumerate_labels(system)
+    # first, middle and last label: the indices that the spot checks sample
+    spot_indices = {0, dim // 2, dim - 1}
 
     # The two shared passes, the round trip and the functional table, run
     # once, when the first row that reads them is measured. Rows are measured
@@ -192,15 +195,18 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
         return (planewave(k).amplitudes for k in labels)
 
     def transform_dev(columns: Iterable[np.ndarray]) -> float:
-        # Column k against the transform of basis functional k, per label, not
-        # one batch over np.eye(dim): a batched contraction rounds differently
-        # from per-vector calls, which would change measured values.
-        return max(
-            float(np.max(np.abs(
-                col - to_q_rep(basis_state(k, Representation.K)).amplitudes
-            )))
-            for k, col in zip(labels, columns)
-        )
+        # Column k against the transform of basis functional k from the shared
+        # digit tree, whose bits equal to_q_rep's: each of its np.dot calls has
+        # a per-label call's shape, and each product column holds one label's
+        # entries (a batch over np.eye(dim) changes the shape and the rounding).
+        # to_q_rep itself is compared at the spot indices, in the same max.
+        dev = 0.0
+        for i, (col, transform) in enumerate(zip(columns, _basis_transforms(system))):
+            dev = max(dev, float(np.max(np.abs(col - transform))))
+            if i in spot_indices:
+                direct = to_q_rep(basis_state(labels[i], Representation.K))
+                dev = max(dev, float(np.max(np.abs(direct.amplitudes - transform))))
+        return dev
 
     def oracle_columns() -> np.ndarray:
         exponents, roots = _oracle_rows(system)
@@ -247,7 +253,7 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
     def entropy_extremes_dev() -> float:
         full_entropy = n * np.log(d)
         dev = 0.0
-        for idx in {0, dim // 2, dim - 1}:
+        for idx in spot_indices:
             label = labels[idx]
             basis_report = entropies(basis_state(label, Representation.Q))
             dev = max(dev, abs(basis_report.h_q))

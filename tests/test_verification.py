@@ -7,7 +7,13 @@ import pytest
 
 import quditsim.fourier as fourier
 import quditsim.verification as verification
-from quditsim import DigitLabel, QuditSystem, dense_fourier_oracle, run_verification
+from quditsim import (
+    DigitLabel,
+    QuditSystem,
+    StateVector,
+    dense_fourier_oracle,
+    run_verification,
+)
 
 
 # (3, 6) has 729 amplitudes, so its dense oracle spans three row blocks, the
@@ -195,6 +201,71 @@ def test_scaled_oracle_fails_unitarity(monkeypatch, d, n, failing):
         verification, "_oracle_rows",
         _mutated_oracle_rows(lambda roots: roots * (1 + 1e-9)),
     )
+    assert _failing(d, n) == failing
+
+
+# to_q_rep stays in the Fourier rows' path: the round trip reads it, and the
+# two transform rows compare it with the digit tree at three labels.
+@pytest.mark.parametrize(
+    "d,n,failing",
+    [
+        (3, 2, {
+            "fourier_round_trip",
+            "planewave_matches_transform",
+            "transform_matches_dense_oracle",
+        }),
+        # above the column check's 256 cap
+        (3, 6, {"fourier_round_trip", "planewave_matches_transform"}),
+        (5, 4, {"fourier_round_trip", "planewave_matches_transform"}),
+    ],
+)
+def test_conjugated_to_q_rep_fails_the_transform_rows(monkeypatch, d, n, failing):
+    def conjugated(phi):
+        psi = fourier.to_q_rep(phi)
+        return StateVector(psi.system, psi.rep, np.conj(psi.amplitudes))
+
+    monkeypatch.setattr(verification, "to_q_rep", conjugated)
+    assert _failing(d, n) == failing
+
+
+def _mutated_exponents(mutate):
+    """verification._oracle_rows with mutate applied to a copy of the exponents."""
+    oracle_rows = verification._oracle_rows
+
+    def rows(system):
+        exponents, roots = oracle_rows(system)
+        exponents = exponents.copy()
+        mutate(exponents, system.d)
+        return exponents, roots
+
+    return rows
+
+
+def _replace_row(table, d):
+    table[5] = table[7]
+
+
+def _raise_entry(table, d):
+    table[3, 4] = (table[3, 4] + 1) % d
+
+
+def _replace_column(table, d):
+    table[:, 5] = table[:, 7]
+
+
+# The Gram's strength against single corruptions of the oracle, which a
+# cheaper unitarity measure must keep: at (2, 9) the row measured 1.0,
+# 3.9e-3 and 3.9e-3 for these three.
+@pytest.mark.parametrize("mutate", [_replace_row, _raise_entry, _replace_column])
+@pytest.mark.parametrize(
+    "d,n,failing",
+    [
+        (2, 9, {"dense_oracle_unitary"}),
+        (3, 5, {"dense_oracle_unitary", "transform_matches_dense_oracle"}),
+    ],
+)
+def test_corrupted_oracle_exponents_fail_unitarity(monkeypatch, mutate, d, n, failing):
+    monkeypatch.setattr(verification, "_oracle_rows", _mutated_exponents(mutate))
     assert _failing(d, n) == failing
 
 
