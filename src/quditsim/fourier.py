@@ -16,7 +16,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from ._tensor import apply_at
-from .groups import _ORACLE_BLOCK, DigitLabel, QuditSystem, functional_values
+from .groups import DigitLabel, QuditSystem, functional_values
 from .states import Representation, StateVector, require_rep
 
 
@@ -98,30 +98,35 @@ def dense_fourier_oracle(system: QuditSystem) -> np.ndarray:
 
     Brute-force evaluation of the defining formula, independent of the
     per-qudit factorized path; intended for tests, so the dimension is
-    capped at ORACLE_DIM_CAP. Filled in row blocks from _oracle_exponents.
+    capped at ORACLE_DIM_CAP. Row q is planewave(q)'s amplitudes: one gather
+    of _scaled_roots through _oracle_exponents, whose uint8 or uint16 index
+    table numpy reads as it is (take would first copy it to intp).
     """
-    exponents = _oracle_exponents(system)
-    roots = _scaled_roots(system)
-    oracle = np.empty((system.dim, system.dim), dtype=np.complex128)
-    for i in range(0, system.dim, _ORACLE_BLOCK):
-        rows = slice(i, i + _ORACLE_BLOCK)
-        # mode="clip" writes straight into out; "raise" fills a temporary first
-        roots.take(exponents[rows], out=oracle[rows], mode="clip")
-    return oracle
+    return _scaled_roots(system)[_oracle_exponents(system)]
 
 
 def _oracle_exponents(system: QuditSystem) -> np.ndarray:
     """The dim x dim table of k.q mod d, so the oracle is _scaled_roots(system)[table].
 
-    Built in row blocks, in the smallest unsigned dtype that holds d - 1:
-    one byte per entry for d <= 256.
+    In the smallest unsigned dtype that holds d - 1: one byte per entry for
+    d <= 256. Built one digit at a time from the d x d table of one digit,
+    so past that table its scratch is the previous digit's table, 1/d**2 of
+    the result. Each call returns a new table.
     """
     system.require_oracle_dim()
-    d, dim = system.d, system.dim
-    digits = np.indices((d,) * system.n).reshape(system.n, -1).T
-    table = np.empty((dim, dim), dtype=np.min_scalar_type(d - 1))
-    for i in range(0, dim, _ORACLE_BLOCK):
-        table[i : i + _ORACLE_BLOCK] = (digits[i : i + _ORACLE_BLOCK] @ digits.T) % d
+    d = system.d
+    # q*k below d**2 needs a wider type than the table, but only over d x d
+    wide = np.arange(d, dtype=np.min_scalar_type((d - 1) ** 2))
+    base = np.multiply.outer(wide, wide)
+    base %= d
+    base = base.astype(np.min_scalar_type(d - 1), copy=False)
+    table = base
+    for _ in range(system.n - 1):
+        # one more digit, the least significant of both q and k; the cap
+        # forces d <= 64 once n >= 2, so a sum of two residues fits in uint8
+        table = table[:, None, :, None] + base[None, :, None, :]
+        table %= d
+        table = table.reshape(len(table) * d, -1)
     return table
 
 

@@ -11,7 +11,6 @@ from functools import reduce
 import numpy as np
 
 ORACLE_DIM_CAP = 4096  # largest d**n for which a dense d**n x d**n oracle is built
-_ORACLE_BLOCK = 256  # rows per block when a dense oracle is built or checked
 LABEL_CAP = 2**20  # largest d**n for which every basis label is built
 
 

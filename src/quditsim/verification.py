@@ -50,7 +50,6 @@ from .gates import (
     translation_gate_matrix,
 )
 from .groups import (
-    _ORACLE_BLOCK,
     ORACLE_DIM_CAP,
     DigitLabel,
     QuditSystem,
@@ -66,6 +65,7 @@ _ROUND_TRIP_STATES = 20
 _ENTROPY_STATES = 100
 _RANDOM_GATES = 100
 _FUNCTIONAL_CASE_CAP = 2048
+_GRAM_BLOCK = 256  # rows per block of the U U† products in _unitarity_dev
 _COMPARISONS = {"<": operator.lt, ">": operator.gt}
 
 # Hand-enumerated 2-qutrit partition tables used as a fixed regression
@@ -82,36 +82,28 @@ def _unitarity_dev(u: np.ndarray, roots: np.ndarray | None = None) -> float:
     U is u itself or, given roots, roots[u] for an exponent table u, gathered
     one row block at a time into a reused buffer, so U is never held whole.
     """
-    shape = (min(len(u), _ORACLE_BLOCK), u.shape[1])
+    shape = (min(len(u), _GRAM_BLOCK), u.shape[1])
     adjoint_buf = np.empty(shape, dtype=u.dtype if roots is None else roots.dtype)
     row_buf = None if roots is None else np.empty_like(adjoint_buf)
 
     def rows(i: int) -> np.ndarray:
-        block = u[i : i + _ORACLE_BLOCK]
+        block = u[i : i + _GRAM_BLOCK]
         if roots is None:
             return block
         # mode="clip" writes straight into out; "raise" fills a temporary first
         return roots.take(block, out=row_buf[: len(block)], mode="clip")
 
     dev = 0.0
-    for j in range(0, len(u), _ORACLE_BLOCK):
+    for j in range(0, len(u), _GRAM_BLOCK):
         row_block = rows(j)
         adjoint_cols = np.conj(row_block, out=adjoint_buf[: len(row_block)]).T
         # the diagonal block first, while row block j is still gathered
-        for i in range(j, -1, -_ORACLE_BLOCK):
+        for i in range(j, -1, -_GRAM_BLOCK):
             block = (row_block if i == j else rows(i)) @ adjoint_cols
             if i == j:
                 block[np.diag_indices(len(block))] -= 1.0
             dev = max(dev, float(np.max(np.abs(block))))
     return dev
-
-
-def _oracle_rows(system: QuditSystem) -> tuple[np.ndarray, np.ndarray]:
-    """The dense Fourier oracle as (exponents, roots): its row q is roots[exponents[q]].
-
-    The source of both oracle rows of the table of checks.
-    """
-    return _oracle_exponents(system), _scaled_roots(system)
 
 
 def _norm_dev(amplitudes: np.ndarray) -> float:
@@ -208,10 +200,6 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
                 dev = max(dev, float(np.max(np.abs(direct.amplitudes - transform))))
         return dev
 
-    def oracle_columns() -> np.ndarray:
-        exponents, roots = _oracle_rows(system)
-        return roots[exponents].T
-
     def eigen_dev() -> float:
         return max(
             float(np.max(np.abs(apply_at(wave, d, n, (wire,), kq) - kj * wave)))
@@ -283,9 +271,9 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
         ("planewave_orthonormality", dim <= 81, 1e-12, "<",
          lambda: _unitarity_dev(np.conj(list(waves())))),
         ("dense_oracle_unitary", True, 1e-11, "<",
-         lambda: _unitarity_dev(*_oracle_rows(system))),
+         lambda: _unitarity_dev(_oracle_exponents(system), _scaled_roots(system))),
         ("transform_matches_dense_oracle", dim <= 256, 1e-12, "<",
-         lambda: transform_dev(oracle_columns())),
+         lambda: transform_dev(_scaled_roots(system)[_oracle_exponents(system)].T)),
         ("controlled_add_block_structure", d * d <= ORACLE_DIM_CAP, 1e-12, "<",
          lambda: _controlled_add_dev(d)),
         ("functional_circuit_exhaustive", m >= 1, 1e-12, "<",

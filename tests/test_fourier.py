@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,8 +203,6 @@ def test_dense_oracle_agrees_with_transform(d, n):
         assert np.max(np.abs(via_matrix - via_transform)) < 1e-12
 
 
-# (2, 10) fills whole row blocks, (3, 6) ends in a ragged one, and the rest
-# fit in one
 @pytest.mark.parametrize(
     "d,n", [(3, 2), (6, 2), (2, 8), (16, 2), (2, 10), (3, 6), (17, 2)]
 )
@@ -216,13 +215,36 @@ def test_dense_oracle_bitwise_from_index_digits(d, n):
 
 @pytest.mark.parametrize(
     "d,n,dtype",
-    [(2, 3, np.uint8), (16, 2, np.uint8), (256, 1, np.uint8), (257, 1, np.uint16)],
+    [
+        (2, 3, np.uint8),
+        (16, 2, np.uint8),
+        (256, 1, np.uint8),
+        (257, 1, np.uint16),
+        # the largest d that n = 2 allows, and systems of many digits
+        (64, 2, np.uint8),
+        (2, 12, np.uint8),
+        (5, 5, np.uint8),
+        (3, 7, np.uint8),
+    ],
 )
 def test_oracle_exponent_table_is_the_smallest_unsigned_type(d, n, dtype):
     table = _oracle_exponents(QuditSystem(n, d))
     rows = np.indices((d,) * n).reshape(n, -1).T
     assert table.dtype == dtype
     assert np.array_equal(table, (rows @ rows.T) % d)
+
+
+def test_oracle_exponent_scratch_stays_below_a_quarter_table():
+    # Digit by digit, the scratch is the previous digit's table, 1/16 of
+    # the result at (4, 6).
+    system = QuditSystem(6, 4)
+    tracemalloc.start()
+    try:
+        table = _oracle_exponents(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * table.nbytes
 
 
 def test_scaled_roots_built_once_per_system_and_read_only():

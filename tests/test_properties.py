@@ -12,8 +12,10 @@ from quditsim import (
     QuditSystem,
     Representation,
     basis_state,
+    dense_fourier_oracle,
     dot_mod,
     enumerate_labels,
+    label_to_index,
     planewave,
     to_q_rep,
 )
@@ -51,3 +53,12 @@ def test_functional_values_equal_dot_mod(k):
 def test_planewave_equals_transform_of_point_mass(k):
     via_transform = to_q_rep(basis_state(k, Representation.K)).amplitudes
     assert np.max(np.abs(planewave(k).amplitudes - via_transform)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(labels())
+def test_dense_oracle_row_is_the_planewave(q):
+    # the functional/planewave duality: row q of the character table is the
+    # planewave of q, the same roots gathered by an independent index path
+    row = dense_fourier_oracle(q.system)[label_to_index(q)]
+    assert row.tobytes() == planewave(q).amplitudes.tobytes()

@@ -172,19 +172,17 @@ def test_repeated_planewave_fails_orthonormality(monkeypatch):
     }
 
 
-def _mutated_oracle_rows(mutate):
-    """verification._oracle_rows with every oracle entry passed through mutate."""
-    oracle_rows = verification._oracle_rows
+def _mutated_roots(mutate):
+    """verification._scaled_roots with every root passed through mutate."""
 
-    def rows(system):
-        exponents, roots = oracle_rows(system)
-        return exponents, mutate(roots)
+    def roots(system):
+        return mutate(fourier._scaled_roots(system))
 
-    return rows
+    return roots
 
 
 def test_conjugated_oracle_fails_only_the_column_check(monkeypatch):
-    monkeypatch.setattr(verification, "_oracle_rows", _mutated_oracle_rows(np.conj))
+    monkeypatch.setattr(verification, "_scaled_roots", _mutated_roots(np.conj))
     assert _failing(3, 2) == {"transform_matches_dense_oracle"}
 
 
@@ -198,8 +196,8 @@ def test_conjugated_oracle_fails_only_the_column_check(monkeypatch):
 )
 def test_scaled_oracle_fails_unitarity(monkeypatch, d, n, failing):
     monkeypatch.setattr(
-        verification, "_oracle_rows",
-        _mutated_oracle_rows(lambda roots: roots * (1 + 1e-9)),
+        verification, "_scaled_roots",
+        _mutated_roots(lambda roots: roots * (1 + 1e-9)),
     )
     assert _failing(d, n) == failing
 
@@ -229,16 +227,14 @@ def test_conjugated_to_q_rep_fails_the_transform_rows(monkeypatch, d, n, failing
 
 
 def _mutated_exponents(mutate):
-    """verification._oracle_rows with mutate applied to a copy of the exponents."""
-    oracle_rows = verification._oracle_rows
+    """verification._oracle_exponents with mutate applied to each new table."""
 
-    def rows(system):
-        exponents, roots = oracle_rows(system)
-        exponents = exponents.copy()
-        mutate(exponents, system.d)
-        return exponents, roots
+    def exponents(system):
+        table = fourier._oracle_exponents(system)
+        mutate(table, system.d)
+        return table
 
-    return rows
+    return exponents
 
 
 def _replace_row(table, d):
@@ -265,7 +261,7 @@ def _replace_column(table, d):
     ],
 )
 def test_corrupted_oracle_exponents_fail_unitarity(monkeypatch, mutate, d, n, failing):
-    monkeypatch.setattr(verification, "_oracle_rows", _mutated_exponents(mutate))
+    monkeypatch.setattr(verification, "_oracle_exponents", _mutated_exponents(mutate))
     assert _failing(d, n) == failing
 
 
@@ -344,13 +340,18 @@ def test_unitarity_dev_scratch_stays_below_one_oracle():
     assert peak < oracle.nbytes
 
 
+def _streamed_unitarity_dev(system):
+    exponents = fourier._oracle_exponents(system)
+    return verification._unitarity_dev(exponents, fourier._scaled_roots(system))
+
+
 def test_streamed_oracle_unitarity_scratch_stays_below_half_an_oracle():
     # The streamed row holds a one-byte exponent table and two row blocks,
     # never the 16·dim² bytes of the complex oracle.
     system = QuditSystem(11, 2)
     tracemalloc.start()
     try:
-        verification._unitarity_dev(*verification._oracle_rows(system))
+        _streamed_unitarity_dev(system)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -359,5 +360,5 @@ def test_streamed_oracle_unitarity_scratch_stays_below_half_an_oracle():
 
 def test_streamed_oracle_unitarity_matches_the_dense_oracle():
     for system in (QuditSystem(6, 3), QuditSystem(2, 17)):
-        streamed = verification._unitarity_dev(*verification._oracle_rows(system))
+        streamed = _streamed_unitarity_dev(system)
         assert streamed == verification._unitarity_dev(dense_fourier_oracle(system))
