@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from quditsim import groups
 from quditsim import (
     DigitLabel,
     QuditSystem,
@@ -40,6 +41,25 @@ def test_single_qudit_fourier_d3_rows():
     assert np.allclose(f[2], np.array([1, w**2, w]) / math.sqrt(3), atol=1e-14)
     assert np.allclose(f[1], np.array([1, w, w**2]) / math.sqrt(3), atol=1e-14)
     assert np.allclose(f[0], np.ones(3) / math.sqrt(3), atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [*range(2, 257), 1000, 2048])
+def test_single_qudit_fourier_bytes_equal_exp_formula(d):
+    # exp over every entry of the d x d table of q*k mod d
+    r = np.arange(d)
+    expected = np.exp(2j * np.pi * (np.outer(r, r) % d) / d) / np.sqrt(d)
+    assert single_qudit_fourier(d).tobytes() == expected.tobytes()
+
+
+def test_single_qudit_fourier_and_transforms_are_not_capped(monkeypatch):
+    monkeypatch.setattr(groups, "ORACLE_DIM_CAP", 16)
+    system = QuditSystem(1, 17)
+    assert single_qudit_fourier(17).shape == (17, 17)
+    phi = random_state(system, K, np.random.default_rng(47))
+    back = to_k_rep(to_q_rep(phi))
+    assert np.max(np.abs(back.amplitudes - phi.amplitudes)) < 1e-12
+    with pytest.raises(ValueError, match="cap"):
+        dense_fourier_oracle(system)
 
 
 @pytest.mark.parametrize("d", range(2, 17))

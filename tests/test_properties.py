@@ -17,6 +17,8 @@ from quditsim import (
     enumerate_labels,
     label_to_index,
     planewave,
+    random_state,
+    to_k_rep,
     to_q_rep,
 )
 from quditsim.groups import functional_values
@@ -32,13 +34,21 @@ PROPERTY_SETTINGS = hypothesis.settings(
 
 
 @st.composite
-def labels(draw):
-    """A label k of a system (d, n) with d**n <= MAX_DIM."""
+def systems(draw):
+    """A system (d, n) with d**n <= MAX_DIM."""
     # n first, so that multi-qudit systems are drawn as often as single ones
     n = draw(st.integers(1, 8))
     d = draw(st.integers(2, max(d for d in range(2, MAX_DIM + 1) if d**n <= MAX_DIM)))
+    return QuditSystem(n, d)
+
+
+@st.composite
+def labels(draw):
+    """A label k of a system drawn by systems()."""
+    system = draw(systems())
+    n, d = system.n, system.d
     digits = draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
-    return DigitLabel(tuple(digits), QuditSystem(n, d))
+    return DigitLabel(tuple(digits), system)
 
 
 @PROPERTY_SETTINGS
@@ -62,3 +72,17 @@ def test_dense_oracle_row_is_the_planewave(q):
     # planewave of q, the same roots gathered by an independent index path
     row = dense_fourier_oracle(q.system)[label_to_index(q)]
     assert row.tobytes() == planewave(q).amplitudes.tobytes()
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(systems(), st.integers(0, 2**32 - 1))
+def test_transforms_match_dense_oracle(system, seed):
+    # the per-wire transforms against the brute-force character table: O
+    # maps k-rep amplitudes to q-rep ones, and O† maps them back
+    rng = np.random.default_rng(seed)
+    oracle = dense_fourier_oracle(system)
+    phi = random_state(system, Representation.K, rng)
+    assert np.max(np.abs(to_q_rep(phi).amplitudes - oracle @ phi.amplitudes)) <= 1e-12
+    psi = random_state(system, Representation.Q, rng)
+    via_oracle = oracle.conj().T @ psi.amplitudes
+    assert np.max(np.abs(to_k_rep(psi).amplitudes - via_oracle)) <= 1e-12
