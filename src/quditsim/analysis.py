@@ -17,7 +17,13 @@ import numpy as np
 from ._tensor import apply_at, wire_marginal
 from .fourier import single_qudit_fourier, to_k_rep
 from .gates import translation_gate_matrix
-from .groups import DigitLabel, enumerate_labels, functional_values, require_index
+from .groups import (
+    DigitLabel,
+    QuditSystem,
+    enumerate_labels,
+    functional_values,
+    require_index,
+)
 from .states import Representation, StateVector, probabilities, require_rep
 
 
@@ -53,8 +59,7 @@ class EntropyReport:
 
 def k_observable_in_k_rep(d: int) -> SingleQuditObservable:
     """diag(0, 1, ..., d-1) acting on k-rep amplitudes."""
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    d = QuditSystem(1, d).d
     return SingleQuditObservable(
         d, np.diag(np.arange(d, dtype=np.complex128)), Representation.K
     )
@@ -140,6 +145,7 @@ def entropies(state: StateVector, base: float | None = None) -> EntropyReport:
 
 def translation_operator_k_rep(d: int, q: int) -> np.ndarray:
     """diag(exp(-2*pi*i*m*q/d)) for m = 0..d-1: the shift gate in the k-rep."""
+    d = QuditSystem(1, d).d
     require_index("shift", q, d)
     phases = (np.arange(d) * q) % d
     return np.diag(np.exp(-2j * np.pi * phases / d))

@@ -5,7 +5,8 @@ the single-qudit matrix F[q, k] = omega**(q*k) / sqrt(d) maps k-rep
 amplitudes to q-rep amplitudes; the opposite direction uses F's conjugate
 transpose. The n-qudit transform factorizes as one F per qudit because the
 planewave phase exp(2*pi*i*(sum k_j*q_j)/d) is insensitive to reducing the
-exponent sum mod d.
+exponent sum mod d. F gathers d roots through groups.product_table(d), the
+table of q*k mod d, from which the dense oracle's exponents are built.
 """
 
 from __future__ import annotations
@@ -16,31 +17,23 @@ from collections.abc import Iterator
 import numpy as np
 
 from ._tensor import apply_at
-from .groups import DigitLabel, QuditSystem, functional_values
+from .groups import DigitLabel, QuditSystem, functional_values, product_table
 from .states import Representation, StateVector, require_rep
 
 
 def single_qudit_fourier(d: int) -> np.ndarray:
-    """The d x d transform matrix with entries omega**(q*k) / sqrt(d)."""
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
-    exponents = np.outer(np.arange(d), np.arange(d)) % d
-    return np.exp(2j * np.pi * exponents / d) / np.sqrt(d)
-
-
-@functools.cache
-def _fourier(d: int) -> np.ndarray:
-    """single_qudit_fourier(d), built once per d and read-only, for the transforms."""
-    f = single_qudit_fourier(d)
-    f.setflags(write=False)
-    return f
+    """The d x d transform matrix with entries omega**(q*k) / sqrt(d), new per call."""
+    d = QuditSystem(1, d).d
+    # F's own roots, not _scaled_roots: F, planewaves and oracle share no root table
+    roots = np.exp(2j * np.pi * np.arange(d) / d) / np.sqrt(d)
+    return roots[product_table(d)]
 
 
 def to_q_rep(phi: StateVector) -> StateVector:
     """Transform a k-rep state to the q-representation (F on every qudit)."""
     require_rep(phi, Representation.K)
     d, n = phi.system.d, phi.system.n
-    amps = apply_at(phi.amplitudes, d, n, range(n), _fourier(d))
+    amps = apply_at(phi.amplitudes, d, n, range(n), single_qudit_fourier(d))
     return StateVector(phi.system, Representation.Q, amps)
 
 
@@ -57,7 +50,7 @@ def _basis_transforms(system: QuditSystem) -> Iterator[np.ndarray]:
     """
     d, n = system.d, system.n
     shape = (d,) * n
-    f = _fourier(d)
+    f = single_qudit_fourier(d)
 
     def subtree(x: np.ndarray, wire: int) -> Iterator[np.ndarray]:
         if wire == n:
@@ -78,7 +71,7 @@ def to_k_rep(psi: StateVector) -> StateVector:
     """Transform a q-rep state to the k-representation (F dagger per qudit)."""
     require_rep(psi, Representation.Q)
     d, n = psi.system.d, psi.system.n
-    f_dag = _fourier(d).conj().T
+    f_dag = single_qudit_fourier(d).conj().T
     amps = apply_at(psi.amplitudes, d, n, range(n), f_dag)
     return StateVector(psi.system, Representation.K, amps)
 
@@ -96,11 +89,11 @@ def planewave(k: DigitLabel) -> StateVector:
 def dense_fourier_oracle(system: QuditSystem) -> np.ndarray:
     """Full d**n x d**n matrix with entry[q][k] = omega**(k.q) / sqrt(d**n).
 
-    Brute-force evaluation of the defining formula, independent of the
-    per-qudit factorized path; intended for tests, so the dimension is
-    capped at ORACLE_DIM_CAP. Row q is planewave(q)'s amplitudes: one gather
-    of _scaled_roots through _oracle_exponents, whose uint8 or uint16 index
-    table numpy reads as it is (take would first copy it to intp).
+    A test oracle, capped at ORACLE_DIM_CAP; it shares only product_table(d)
+    with the per-qudit path, since F has its own roots. Row q is
+    planewave(q)'s amplitudes: one gather of _scaled_roots through
+    _oracle_exponents, whose uint8 or uint16 index table numpy reads as it
+    is (take would first copy it to intp).
     """
     return _scaled_roots(system)[_oracle_exponents(system)]
 
@@ -108,19 +101,13 @@ def dense_fourier_oracle(system: QuditSystem) -> np.ndarray:
 def _oracle_exponents(system: QuditSystem) -> np.ndarray:
     """The dim x dim table of k.q mod d, so the oracle is _scaled_roots(system)[table].
 
-    In the smallest unsigned dtype that holds d - 1: one byte per entry for
-    d <= 256. Built one digit at a time from the d x d table of one digit,
-    so past that table its scratch is the previous digit's table, 1/d**2 of
-    the result. Each call returns a new table.
+    In product_table's dtype: one byte per entry for d <= 256. Built one
+    digit at a time from product_table(d), so past that table its scratch is
+    the previous digit's table, 1/d**2 of the result. New per call.
     """
     system.require_oracle_dim()
     d = system.d
-    # q*k below d**2 needs a wider type than the table, but only over d x d
-    wide = np.arange(d, dtype=np.min_scalar_type((d - 1) ** 2))
-    base = np.multiply.outer(wide, wide)
-    base %= d
-    base = base.astype(np.min_scalar_type(d - 1), copy=False)
-    table = base
+    table = base = product_table(d)
     for _ in range(system.n - 1):
         # one more digit, the least significant of both q and k; the cap
         # forces d <= 64 once n >= 2, so a sum of two residues fits in uint8
@@ -132,10 +119,7 @@ def _oracle_exponents(system: QuditSystem) -> np.ndarray:
 
 @functools.cache
 def _scaled_roots(system: QuditSystem) -> np.ndarray:
-    """omega**v / sqrt(d**n) for v in [0, d): every value a planewave entry takes.
-
-    Built once per system and read-only.
-    """
+    """omega**v / sqrt(d**n) for v in [0, d), every planewave entry; read-only."""
     d = system.d
     roots = np.exp(2j * np.pi * np.arange(d) / d) / np.sqrt(system.dim)
     roots.setflags(write=False)

@@ -23,7 +23,7 @@ from typing import Any, ClassVar, Union, get_args
 import numpy as np
 
 from ._tensor import apply_at
-from .groups import QuditSystem, require_index
+from .groups import QuditSystem, product_table, require_index
 from .states import (
     Representation,
     StateVector,
@@ -164,7 +164,7 @@ class DoublyControlledAdd(_GateKind):
     wire_fields = ("k_control", "j_control", "target")
 
     def shift(self, d: int) -> np.ndarray:
-        return np.outer(np.arange(d), np.arange(d)) % d
+        return product_table(d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,6 +243,7 @@ class FunctionalCircuitLayout:
 
 def translation_gate_matrix(d: int, amount: int) -> np.ndarray:
     """Permutation matrix sending |c> to |c + amount mod d>."""
+    d = QuditSystem(1, d).d
     require_index("amount", amount, d)
     m = np.zeros((d, d), dtype=np.complex128)
     m[(np.arange(d) + amount) % d, np.arange(d)] = 1.0

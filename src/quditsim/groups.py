@@ -112,6 +112,15 @@ def dot_mod(k: DigitLabel, q: DigitLabel) -> int:
     return sum(x * y for x, y in zip(k.digits, q.digits)) % k.system.d
 
 
+def product_table(d: int) -> np.ndarray:
+    """q*k mod d for q, k in [0, d), in the smallest unsigned dtype that holds d - 1."""
+    # the products, below d**2, need a wider type only until they are reduced
+    r = np.arange(d, dtype=np.min_scalar_type((d - 1) ** 2))
+    table = np.multiply.outer(r, r)
+    table %= d
+    return table.astype(np.min_scalar_type(d - 1), copy=False)
+
+
 def functional_values(k: DigitLabel) -> np.ndarray:
     """k.q mod d for every basis label q, as an int array in index order."""
     d = k.system.d

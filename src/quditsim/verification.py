@@ -160,7 +160,6 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
     rng = np.random.default_rng(seed)
     dim = system.dim
     m = _functional_size(d, n)
-    f = single_qudit_fourier(d)
     kq = k_observable_in_q_rep(d).matrix
     labels = enumerate_labels(system)
     # first, middle and last label: the indices that the spot checks sample
@@ -260,7 +259,7 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
     # check is measured and reported only when its condition holds
     rows = (
         ("single_qudit_fourier_unitary", True, 1e-12, "<",
-         lambda: _unitarity_dev(f)),
+         lambda: _unitarity_dev(single_qudit_fourier(d))),
         ("fourier_round_trip", True, 1e-12, "<",
          lambda: round_trip()["round_trip"]),
         ("fourier_norm_preservation", True, 1e-12, "<",

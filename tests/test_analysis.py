@@ -27,6 +27,7 @@ from quditsim import (
     random_state,
     run_circuit,
     shannon_entropy,
+    single_qudit_fourier,
     tensor_product,
     translation_gate_matrix,
     translation_operator_k_rep,
@@ -218,6 +219,32 @@ def test_verify_translation_identity():
     for d in (2, 3, 4, 6, 8, 9, 12, 16):
         for q in range(d):
             assert verify_translation_identity(d, q) < 1e-10
+
+
+# every public function of a bare d takes it as QuditSystem does: an integer,
+# Python or numpy, of at least 2
+ONE_QUDIT_BUILDERS = {
+    "single_qudit_fourier": single_qudit_fourier,
+    "k_observable_in_k_rep": lambda d: k_observable_in_k_rep(d).matrix,
+    "translation_operator_k_rep": lambda d: translation_operator_k_rep(d, 1),
+    "commutator_qk": lambda d: commutator_qk(d)[0],
+    "verify_translation_identity": lambda d: verify_translation_identity(d, 1),
+    "translation_gate_matrix": lambda d: translation_gate_matrix(d, 1),
+}
+
+
+@pytest.mark.parametrize("name", ONE_QUDIT_BUILDERS)
+@pytest.mark.parametrize("d", [2.5, 3.0, 1])
+def test_one_qudit_builders_reject_bad_d(name, d):
+    with pytest.raises(ValueError):
+        ONE_QUDIT_BUILDERS[name](d)
+
+
+@pytest.mark.parametrize("name", ONE_QUDIT_BUILDERS)
+def test_one_qudit_builders_accept_numpy_integer_d(name):
+    assert np.array_equal(
+        ONE_QUDIT_BUILDERS[name](np.int64(3)), ONE_QUDIT_BUILDERS[name](3)
+    )
 
 
 def test_translation_identity_d2_is_bitflip():

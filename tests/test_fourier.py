@@ -23,7 +23,7 @@ from quditsim import (
 )
 from quditsim._tensor import apply_at
 from quditsim.fourier import _basis_transforms, _oracle_exponents, _scaled_roots
-from quditsim.groups import functional_values
+from quditsim.groups import functional_values, product_table
 
 Q = Representation.Q
 K = Representation.K
@@ -254,6 +254,25 @@ def test_oracle_exponent_table_is_the_smallest_unsigned_type(d, n, dtype):
     assert np.array_equal(table, (rows @ rows.T) % d)
 
 
+@pytest.mark.parametrize(
+    "d,dtype",
+    [
+        (2, np.uint8),
+        (3, np.uint8),
+        (16, np.uint8),
+        (255, np.uint8),
+        (256, np.uint8),
+        (257, np.uint16),
+        (4096, np.uint16),
+    ],
+)
+def test_product_table_is_q_times_k_mod_d_in_the_smallest_unsigned_type(d, dtype):
+    r = np.arange(d)
+    table = product_table(d)
+    assert table.dtype == dtype
+    assert np.array_equal(table, np.outer(r, r) % d)
+
+
 def test_oracle_exponent_scratch_stays_below_a_quarter_table():
     # Digit by digit, the scratch is the previous digit's table, 1/16 of
     # the result at (4, 6).
@@ -335,8 +354,8 @@ def test_basis_transforms_bytes_equal_per_label_transforms(d, n):
 
 
 def test_single_qudit_fourier_is_fresh_and_writable():
-    # the transforms share one read-only matrix per d; the public builder
-    # hands out a new array, so a caller's edit reaches no transform
+    # each call builds a new matrix, and each transform builds its own, so a
+    # caller's edit reaches no transform
     phi = random_state(QuditSystem(2, 3), K, np.random.default_rng(41))
     before = to_q_rep(phi).amplitudes.tobytes()
     f = single_qudit_fourier(3)
