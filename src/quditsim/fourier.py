@@ -24,7 +24,7 @@ from .states import Representation, StateVector, require_rep
 def single_qudit_fourier(d: int) -> np.ndarray:
     """The d x d transform matrix with entries omega**(q*k) / sqrt(d), new per call."""
     d = QuditSystem(1, d).d
-    # F's own roots, not _scaled_roots: F, planewaves and oracle share no root table
+    # not _scaled_roots: verify checks F against the planewaves and oracle that read it
     roots = np.exp(2j * np.pi * np.arange(d) / d) / np.sqrt(d)
     return roots[product_table(d)]
 
