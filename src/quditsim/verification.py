@@ -65,7 +65,8 @@ _ROUND_TRIP_STATES = 20
 _ENTROPY_STATES = 100
 _RANDOM_GATES = 100
 _FUNCTIONAL_CASE_CAP = 2048
-_GRAM_BLOCK = 256  # rows per block of the U U† products in _unitarity_dev
+_GRAM_BLOCK = 256  # rows per block in _unitarity_dev and _oracle_probe_dev
+_PROBES = 8  # Gaussian columns X in _oracle_probe_dev
 _COMPARISONS = {"<": operator.lt, ">": operator.gt}
 
 # Hand-enumerated 2-qutrit partition tables used as a fixed regression
@@ -76,34 +77,31 @@ _QUTRIT_REFERENCE_PARTITIONS = {
 }
 
 
-def _unitarity_dev(u: np.ndarray, roots: np.ndarray | None = None) -> float:
-    """max |U U† - 1| over the diagonal and upper blocks; U U† is Hermitian.
-
-    U is u itself or, given roots, roots[u] for an exponent table u, gathered
-    one row block at a time into a reused buffer, so U is never held whole.
-    """
-    shape = (min(len(u), _GRAM_BLOCK), u.shape[1])
-    adjoint_buf = np.empty(shape, dtype=u.dtype if roots is None else roots.dtype)
-    row_buf = None if roots is None else np.empty_like(adjoint_buf)
-
-    def rows(i: int) -> np.ndarray:
-        block = u[i : i + _GRAM_BLOCK]
-        if roots is None:
-            return block
-        # mode="clip" writes straight into out; "raise" fills a temporary first
-        return roots.take(block, out=row_buf[: len(block)], mode="clip")
-
+def _unitarity_dev(u: np.ndarray) -> float:
+    """max |U U† - 1| over the diagonal and upper blocks; U U† is Hermitian."""
     dev = 0.0
     for j in range(0, len(u), _GRAM_BLOCK):
-        row_block = rows(j)
-        adjoint_cols = np.conj(row_block, out=adjoint_buf[: len(row_block)]).T
-        # the diagonal block first, while row block j is still gathered
-        for i in range(j, -1, -_GRAM_BLOCK):
-            block = (row_block if i == j else rows(i)) @ adjoint_cols
+        adjoint_cols = u[j : j + _GRAM_BLOCK].conj().T
+        for i in range(0, j + 1, _GRAM_BLOCK):
+            block = u[i : i + _GRAM_BLOCK] @ adjoint_cols
             if i == j:
                 block[np.diag_indices(len(block))] -= 1.0
             dev = max(dev, float(np.max(np.abs(block))))
     return dev
+
+
+def _oracle_probe_dev(system: QuditSystem, probe_rng: np.random.Generator) -> float:
+    """max |O†O X - X| / max |X| for the dense oracle O and Gaussian columns X."""
+    dim, exponents, roots = system.dim, _oracle_exponents(system), _scaled_roots(system)
+    x = probe_rng.standard_normal((dim, 2 * _PROBES)).view(np.complex128)
+    block_buf = np.empty((min(dim, _GRAM_BLOCK), dim), dtype=roots.dtype)
+    # Σ (B X)^H B over O's row blocks B is (O†O X)^H: dim²·p work, not dim³
+    acc = np.zeros((_PROBES, dim), dtype=roots.dtype)
+    for rows in np.split(exponents, range(_GRAM_BLOCK, dim, _GRAM_BLOCK)):
+        # mode="clip" writes straight into out; "raise" fills a temporary first
+        block = roots.take(rows, out=block_buf[: len(rows)], mode="clip")
+        acc += np.conj(block @ x).T @ block
+    return float(np.max(np.abs(acc - x.conj().T)) / np.max(np.abs(x)))
 
 
 def _norm_dev(amplitudes: np.ndarray) -> float:
@@ -269,8 +267,9 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
         # the conjugated planewaves, as rows, are unitary iff orthonormal
         ("planewave_orthonormality", dim <= 81, 1e-12, "<",
          lambda: _unitarity_dev(np.conj(list(waves())))),
+        # probes from a generator of their own, so rng's draws do not move
         ("dense_oracle_unitary", True, 1e-11, "<",
-         lambda: _unitarity_dev(_oracle_exponents(system), _scaled_roots(system))),
+         lambda: _oracle_probe_dev(system, np.random.default_rng([seed, 1]))),
         ("transform_matches_dense_oracle", dim <= 256, 1e-12, "<",
          lambda: transform_dev(_scaled_roots(system)[_oracle_exponents(system)].T)),
         ("controlled_add_block_structure", d * d <= ORACLE_DIM_CAP, 1e-12, "<",

@@ -116,7 +116,7 @@ def test_check_names_in_order(d, n, names):
     assert [c["name"] for c in checks] == names
     assert len(checks) == len(names)
     # permutation gates on basis states: no rounding at all
-    measured = {c["name"]: c["measured"] for c in checks}
+    measured = _measured(checks)
     for name in (
         "functional_circuit_exhaustive",
         "partition_matches_circuit",
@@ -142,6 +142,10 @@ def test_functional_checks_drop_out_without_affordable_size(monkeypatch):
 
 def _failing(d, n):
     return {c["name"] for c in run_verification(d, n)["checks"] if not c["pass"]}
+
+
+def _measured(checks):
+    return {c["name"]: c["measured"] for c in checks}
 
 
 # Each Fourier row must catch a broken planewave or oracle on its own: the
@@ -249,9 +253,10 @@ def _replace_column(table, d):
     table[:, 5] = table[:, 7]
 
 
-# The Gram's strength against single corruptions of the oracle, which a
-# cheaper unitarity measure must keep: at (2, 9) the row measured 1.0,
-# 3.9e-3 and 3.9e-3 for these three.
+# The Gram's strength against single corruptions of the oracle, which the
+# probe keeps: at (2, 9) the row measured 0.042, 0.041 and 0.69 for these
+# three, and at (3, 5) 0.063, 0.067 and 0.76. A floor of 1e-3, 1e8 times the
+# tolerance, catches a weakened probe with margin.
 @pytest.mark.parametrize("mutate", [_replace_row, _raise_entry, _replace_column])
 @pytest.mark.parametrize(
     "d,n,failing",
@@ -262,7 +267,9 @@ def _replace_column(table, d):
 )
 def test_corrupted_oracle_exponents_fail_unitarity(monkeypatch, mutate, d, n, failing):
     monkeypatch.setattr(verification, "_oracle_exponents", _mutated_exponents(mutate))
-    assert _failing(d, n) == failing
+    checks = run_verification(d, n)["checks"]
+    assert {c["name"] for c in checks if not c["pass"]} == failing
+    assert _measured(checks)["dense_oracle_unitary"] >= 1e-3
 
 
 def readme_checks():
@@ -340,25 +347,48 @@ def test_unitarity_dev_scratch_stays_below_one_oracle():
     assert peak < oracle.nbytes
 
 
-def _streamed_unitarity_dev(system):
-    exponents = fourier._oracle_exponents(system)
-    return verification._unitarity_dev(exponents, fourier._scaled_roots(system))
+def _probe_dev(system):
+    return verification._oracle_probe_dev(system, np.random.default_rng([0, 1]))
 
 
-def test_streamed_oracle_unitarity_scratch_stays_below_half_an_oracle():
-    # The streamed row holds a one-byte exponent table and two row blocks,
-    # never the 16·dim² bytes of the complex oracle.
+# 729 and 289 amplitudes: each ends in a ragged row block
+@pytest.mark.parametrize("n,d", [(6, 3), (2, 17)])
+def test_oracle_probe_measures_scaled_roots(monkeypatch, n, d):
+    # O†O is (1 + 1e-6)² = 1 + 2.000001e-6 times the identity
+    monkeypatch.setattr(
+        verification, "_scaled_roots",
+        _mutated_roots(lambda roots: roots * (1 + 1e-6)),
+    )
+    assert _probe_dev(QuditSystem(n, d)) == pytest.approx(2e-6, rel=1e-6)
+
+
+def test_oracle_probe_scratch_stays_below_a_quarter_oracle(monkeypatch):
+    # Besides the one-byte exponent table, built here first, the probe holds
+    # one row block, take's intp copy of that block's exponents and the p x dim
+    # accumulator, never the 16·dim² bytes of the complex oracle.
     system = QuditSystem(11, 2)
+    exponents = fourier._oracle_exponents(system)
+    monkeypatch.setattr(verification, "_oracle_exponents", lambda system: exponents)
     tracemalloc.start()
     try:
-        _streamed_unitarity_dev(system)
+        _probe_dev(system)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * system.dim**2 / 2
+    assert peak < 16 * system.dim**2 / 4
 
 
-def test_streamed_oracle_unitarity_matches_the_dense_oracle():
-    for system in (QuditSystem(6, 3), QuditSystem(2, 17)):
-        streamed = _streamed_unitarity_dev(system)
-        assert streamed == verification._unitarity_dev(dense_fourier_oracle(system))
+@pytest.mark.parametrize("d,n,seed", [(3, 2, 0), (2, 9, 5)])
+def test_oracle_probe_leaves_every_other_row_bit_identical(monkeypatch, d, n, seed):
+    # The probes have a generator of their own: a probe that drew from the
+    # sweep's rng would move the random states of the rows after it.
+    def other_rows():
+        measured = _measured(run_verification(d, n, seed)["checks"])
+        return measured.pop("dense_oracle_unitary"), {
+            name: value.hex() for name, value in measured.items()
+        }
+
+    probe, unpatched = other_rows()
+    monkeypatch.setattr(verification, "_oracle_probe_dev", lambda system, rng: 0.0)
+    assert other_rows() == (0.0, unpatched)
+    assert probe > 0.0
