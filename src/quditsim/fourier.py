@@ -12,7 +12,6 @@ table of q*k mod d, from which the dense oracle's exponents are built.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -35,36 +34,6 @@ def to_q_rep(phi: StateVector) -> StateVector:
     d, n = phi.system.d, phi.system.n
     amps = apply_at(phi.amplitudes, d, n, range(n), single_qudit_fourier(d))
     return StateVector(phi.system, Representation.Q, amps)
-
-
-def _basis_transforms(system: QuditSystem) -> Iterator[np.ndarray]:
-    """to_q_rep(basis_state(k, K)).amplitudes for every label k, in label order.
-
-    A depth-n digit tree shares the work of labels with common leading
-    digits: from the all-ones vector, the child for digit v at wire w keeps
-    only the slices whose wire-w digit is v and applies F to wire w. Every
-    np.dot then has the (d, d**(n-1)) shape of the per-label call, and each
-    of its columns holds the same entries as that call's column for one
-    label, so the bits are equal: about dim * d / (d - 1) one-wire calls,
-    not n * dim.
-    """
-    d, n = system.d, system.n
-    shape = (d,) * n
-    f = single_qudit_fourier(d)
-
-    def subtree(x: np.ndarray, wire: int) -> Iterator[np.ndarray]:
-        if wire == n:
-            yield x
-            return
-        for v in range(d):
-            slot = (slice(None),) * wire + (v,)
-            child = np.zeros_like(x)
-            child.reshape(shape)[slot] = x.reshape(shape)[slot]
-            # rebound, so each level holds one vector while its subtree runs
-            child = apply_at(child, d, n, (wire,), f)
-            yield from subtree(child, wire + 1)
-
-    yield from subtree(np.ones(system.dim, dtype=np.complex128), 0)
 
 
 def to_k_rep(psi: StateVector) -> StateVector:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections.abc import Iterable, Iterator
 from typing import Any
 
 import numpy as np
@@ -29,7 +28,6 @@ from .analysis import (
 )
 from ._tensor import apply_at
 from .fourier import (
-    _basis_transforms,
     _oracle_exponents,
     _scaled_roots,
     planewave,
@@ -65,8 +63,8 @@ _ROUND_TRIP_STATES = 20
 _ENTROPY_STATES = 100
 _RANDOM_GATES = 100
 _FUNCTIONAL_CASE_CAP = 2048
-_GRAM_BLOCK = 256  # rows per block in _unitarity_dev and _oracle_probe_dev
-_PROBES = 8  # Gaussian columns X in _oracle_probe_dev
+_GRAM_BLOCK = 256  # rows per block in _unitarity_dev and _oracle_pass
+_PROBES = 8  # Gaussian columns X in _oracle_pass
 _COMPARISONS = {"<": operator.lt, ">": operator.gt}
 
 # Hand-enumerated 2-qutrit partition tables used as a fixed regression
@@ -90,18 +88,44 @@ def _unitarity_dev(u: np.ndarray) -> float:
     return dev
 
 
-def _oracle_probe_dev(system: QuditSystem, probe_rng: np.random.Generator) -> float:
-    """max |O†O X - X| / max |X| for the dense oracle O and Gaussian columns X."""
-    dim, exponents, roots = system.dim, _oracle_exponents(system), _scaled_roots(system)
+def _oracle_pass(
+    system: QuditSystem, labels: list[DigitLabel], probe_rng: np.random.Generator
+) -> dict[str, float]:
+    """The dense oracle O against its own unitarity, F^{⊗n} and the planewaves.
+
+    "unitary" is max |O†O X - X| / max |X| and "transform" max |O X - F^{⊗n} X|
+    / max |X|, for Gaussian columns X; "planewave" is max |planewave(k) - row k
+    of O| over every label, exactly 0 unless functional_values and the
+    exponent table disagree.
+    """
+    d, n, dim = system.d, system.n, system.dim
+    exponents, roots = _oracle_exponents(system), _scaled_roots(system)
     x = probe_rng.standard_normal((dim, 2 * _PROBES)).view(np.complex128)
     block_buf = np.empty((min(dim, _GRAM_BLOCK), dim), dtype=roots.dtype)
+    ox = np.empty((dim, _PROBES), dtype=roots.dtype)
     # Σ (B X)^H B over O's row blocks B is (O†O X)^H: dim²·p work, not dim³
     acc = np.zeros((_PROBES, dim), dtype=roots.dtype)
-    for rows in np.split(exponents, range(_GRAM_BLOCK, dim, _GRAM_BLOCK)):
-        # mode="clip" writes straight into out; "raise" fills a temporary first
-        block = roots.take(rows, out=block_buf[: len(rows)], mode="clip")
-        acc += np.conj(block @ x).T @ block
-    return float(np.max(np.abs(acc - x.conj().T)) / np.max(np.abs(x)))
+    for start in range(0, dim, _GRAM_BLOCK):
+        block = block_buf[: min(_GRAM_BLOCK, dim - start)]
+        # one row at a time, so take's intp copy of the exponents is one row;
+        # mode="clip" writes straight into out, "raise" fills a temporary first
+        for i, row in enumerate(block, start):
+            roots.take(exponents[i], out=row, mode="clip")
+        rows = slice(start, start + len(block))
+        ox[rows] = block @ x
+        acc += np.conj(ox[rows]).T @ block
+    # after the gemms, not between them: planewave's small calls slow them down
+    planewave_dev = max(
+        float(np.max(np.abs(planewave(k).amplitudes - roots[exponents[i]])))
+        for i, k in enumerate(labels)
+    )
+    fx = apply_at(x, d, n, range(n), single_qudit_fourier(d))
+    scale = np.max(np.abs(x))
+    return {
+        "unitary": float(np.max(np.abs(acc - x.conj().T)) / scale),
+        "transform": float(np.max(np.abs(ox - fx)) / scale),
+        "planewave": planewave_dev,
+    }
 
 
 def _norm_dev(amplitudes: np.ndarray) -> float:
@@ -163,10 +187,10 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
     # first, middle and last label: the indices that the spot checks sample
     spot_indices = {0, dim // 2, dim - 1}
 
-    # The two shared passes, the round trip and the functional table, run
-    # once, when the first row that reads them is measured. Rows are measured
-    # in table order, which draws from rng in a fixed order: round-trip
-    # states, entropy states, then the random circuit.
+    # The three shared passes, the round trip, the oracle pass and the
+    # functional table, run once, when the first row that reads them is
+    # measured. Rows are measured in table order, which draws from rng in a
+    # fixed order: round-trip states, entropy states, then the random circuit.
     @functools.cache
     def round_trip() -> dict[str, float]:
         round_trip_dev = norm_dev = 0.0
@@ -180,22 +204,22 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
             )
         return {"round_trip": round_trip_dev, "norm": norm_dev}
 
-    def waves() -> Iterator[np.ndarray]:
-        return (planewave(k).amplitudes for k in labels)
+    @functools.cache
+    def oracle() -> dict[str, float]:
+        # probes from a generator of their own, so rng's draws do not move
+        return _oracle_pass(system, labels, np.random.default_rng([seed, 1]))
 
-    def transform_dev(columns: Iterable[np.ndarray]) -> float:
-        # Column k against the transform of basis functional k from the shared
-        # digit tree, whose bits equal to_q_rep's: each of its np.dot calls has
-        # a per-label call's shape, and each product column holds one label's
-        # entries (a batch over np.eye(dim) changes the shape and the rounding).
-        # to_q_rep itself is compared at the spot indices, in the same max.
-        dev = 0.0
-        for i, (col, transform) in enumerate(zip(columns, _basis_transforms(system))):
-            dev = max(dev, float(np.max(np.abs(col - transform))))
-            if i in spot_indices:
-                direct = to_q_rep(basis_state(labels[i], Representation.K))
-                dev = max(dev, float(np.max(np.abs(direct.amplitudes - transform))))
+    def planewave_dev() -> float:
+        # the pass ties every planewave to the oracle; to_q_rep itself is
+        # compared with the planewaves at the spot indices
+        dev = oracle()["planewave"]
+        for k in (labels[i] for i in spot_indices):
+            direct = to_q_rep(basis_state(k, Representation.K)).amplitudes
+            dev = max(dev, float(np.max(np.abs(direct - planewave(k).amplitudes))))
         return dev
+
+    def waves() -> list[np.ndarray]:
+        return [planewave(k).amplitudes for k in labels]
 
     def eigen_dev() -> float:
         return max(
@@ -263,15 +287,14 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
         ("fourier_norm_preservation", True, 1e-12, "<",
          lambda: round_trip()["norm"]),
         ("planewave_matches_transform", True, 1e-12, "<",
-         lambda: transform_dev(waves())),
+         planewave_dev),
         # the conjugated planewaves, as rows, are unitary iff orthonormal
         ("planewave_orthonormality", dim <= 81, 1e-12, "<",
-         lambda: _unitarity_dev(np.conj(list(waves())))),
-        # probes from a generator of their own, so rng's draws do not move
+         lambda: _unitarity_dev(np.conj(waves()))),
         ("dense_oracle_unitary", True, 1e-11, "<",
-         lambda: _oracle_probe_dev(system, np.random.default_rng([seed, 1]))),
-        ("transform_matches_dense_oracle", dim <= 256, 1e-12, "<",
-         lambda: transform_dev(_scaled_roots(system)[_oracle_exponents(system)].T)),
+         lambda: oracle()["unitary"]),
+        ("transform_matches_dense_oracle", True, 1e-12, "<",
+         lambda: oracle()["transform"]),
         ("controlled_add_block_structure", d * d <= ORACLE_DIM_CAP, 1e-12, "<",
          lambda: _controlled_add_dev(d)),
         ("functional_circuit_exhaustive", m >= 1, 1e-12, "<",

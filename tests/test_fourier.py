@@ -22,7 +22,7 @@ from quditsim import (
     to_q_rep,
 )
 from quditsim._tensor import apply_at
-from quditsim.fourier import _basis_transforms, _oracle_exponents, _scaled_roots
+from quditsim.fourier import _oracle_exponents, _scaled_roots
 from quditsim.groups import functional_values, product_table
 
 Q = Representation.Q
@@ -333,24 +333,6 @@ def test_transforms_bytes_equal_wire_by_wire(d, n):
     phi = random_state(system, K, rng)
     expected = _wire_by_wire(phi.amplitudes, d, n, range(n), f)
     assert to_q_rep(phi).amplitudes.tobytes() == expected.tobytes()
-
-
-# verify's two Fourier rows compare against the digit tree instead of one
-# to_q_rep call per label; they report the same values only while the two
-# agree byte for byte, which a BLAS build that rounds a product column by its
-# neighbours would break here first.
-@pytest.mark.parametrize(
-    "d,n", [(2, 1), (2, 9), (3, 4), (4, 3), (5, 2), (6, 3), (16, 2), (64, 1)]
-)
-def test_basis_transforms_bytes_equal_per_label_transforms(d, n):
-    system = QuditSystem(n, d)
-    labels = enumerate_labels(system)
-    transforms = list(_basis_transforms(system))
-    assert len(transforms) == len(labels)
-    for k, got in zip(labels, transforms):
-        want = to_q_rep(basis_state(k, K)).amplitudes
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes(), k.digits
 
 
 def test_single_qudit_fourier_is_fresh_and_writable():

@@ -12,6 +12,7 @@ from quditsim import (
     QuditSystem,
     StateVector,
     dense_fourier_oracle,
+    enumerate_labels,
     run_verification,
 )
 
@@ -78,14 +79,10 @@ BASE_CHECKS = [
 QUTRIT_PAIR_CHECKS = (
     BASE_CHECKS[:10] + ["qutrit_reference_partitions"] + BASE_CHECKS[10:]
 )
-# Above 81 amplitudes the two exhaustive planewave checks drop out, and above
-# 256 the tensor-versus-oracle comparison does too.
+# Above 81 amplitudes the two exhaustive planewave checks drop out.
 ABOVE_EXHAUSTIVE_CAP = [
     name for name in BASE_CHECKS
     if name not in ("planewave_orthonormality", "planewave_eigenstate_relation")
-]
-ABOVE_FACTORIZATION_CAP = [
-    name for name in ABOVE_EXHAUSTIVE_CAP if name != "transform_matches_dense_oracle"
 ]
 # From d = 65 on, d² > 4096 drops the controlled-add check, and no functional
 # size fits the case cap (d >= 46), so both functional checks drop out too.
@@ -107,7 +104,7 @@ ABOVE_CADD_CAP = [
         (2, 3, BASE_CHECKS),
         (4, 3, BASE_CHECKS),
         (2, 7, ABOVE_EXHAUSTIVE_CAP),
-        (2, 9, ABOVE_FACTORIZATION_CAP),
+        (2, 9, ABOVE_EXHAUSTIVE_CAP),
         (65, 1, ABOVE_CADD_CAP),
     ],
 )
@@ -185,19 +182,23 @@ def _mutated_roots(mutate):
     return roots
 
 
+# The oracle pass's three rows: its unitarity, its rows against the
+# planewaves and its columns against F on every qudit.
+ORACLE_ROWS = {
+    "dense_oracle_unitary",
+    "planewave_matches_transform",
+    "transform_matches_dense_oracle",
+}
+
+
 def test_conjugated_oracle_fails_only_the_column_check(monkeypatch):
+    # a conjugated unitary is unitary, so only the rows that compare O's
+    # entries with the planewaves and with F fail
     monkeypatch.setattr(verification, "_scaled_roots", _mutated_roots(np.conj))
-    assert _failing(3, 2) == {"transform_matches_dense_oracle"}
+    assert _failing(3, 2) == ORACLE_ROWS - {"dense_oracle_unitary"}
 
 
-@pytest.mark.parametrize(
-    "d,n,failing",
-    [
-        (3, 2, {"dense_oracle_unitary", "transform_matches_dense_oracle"}),
-        # 512 amplitudes: above the column check's 256 cap
-        (2, 9, {"dense_oracle_unitary"}),
-    ],
-)
+@pytest.mark.parametrize("d,n,failing", [(3, 2, ORACLE_ROWS), (2, 9, ORACLE_ROWS)])
 def test_scaled_oracle_fails_unitarity(monkeypatch, d, n, failing):
     monkeypatch.setattr(
         verification, "_scaled_roots",
@@ -206,17 +207,12 @@ def test_scaled_oracle_fails_unitarity(monkeypatch, d, n, failing):
     assert _failing(d, n) == failing
 
 
-# to_q_rep stays in the Fourier rows' path: the round trip reads it, and the
-# two transform rows compare it with the digit tree at three labels.
+# to_q_rep stays in the Fourier rows' path: the round trip reads it, and
+# planewave_matches_transform compares it with the planewaves at three labels.
 @pytest.mark.parametrize(
     "d,n,failing",
     [
-        (3, 2, {
-            "fourier_round_trip",
-            "planewave_matches_transform",
-            "transform_matches_dense_oracle",
-        }),
-        # above the column check's 256 cap
+        (3, 2, {"fourier_round_trip", "planewave_matches_transform"}),
         (3, 6, {"fourier_round_trip", "planewave_matches_transform"}),
         (5, 4, {"fourier_round_trip", "planewave_matches_transform"}),
     ],
@@ -228,6 +224,17 @@ def test_conjugated_to_q_rep_fails_the_transform_rows(monkeypatch, d, n, failing
 
     monkeypatch.setattr(verification, "to_q_rep", conjugated)
     assert _failing(d, n) == failing
+
+
+# F̄ is unitary, so single_qudit_fourier_unitary cannot see it; the oracle's
+# columns against F̄ on every qudit can. At d = 2, F is real and F̄ = F.
+@pytest.mark.parametrize("d,n", [(3, 5), (6, 3)])
+def test_conjugated_fourier_fails_the_transform_row(monkeypatch, d, n):
+    monkeypatch.setattr(
+        verification, "single_qudit_fourier",
+        lambda d: np.conj(fourier.single_qudit_fourier(d)),
+    )
+    assert _failing(d, n) == {"transform_matches_dense_oracle"}
 
 
 def _mutated_exponents(mutate):
@@ -258,13 +265,7 @@ def _replace_column(table, d):
 # three, and at (3, 5) 0.063, 0.067 and 0.76. A floor of 1e-3, 1e8 times the
 # tolerance, catches a weakened probe with margin.
 @pytest.mark.parametrize("mutate", [_replace_row, _raise_entry, _replace_column])
-@pytest.mark.parametrize(
-    "d,n,failing",
-    [
-        (2, 9, {"dense_oracle_unitary"}),
-        (3, 5, {"dense_oracle_unitary", "transform_matches_dense_oracle"}),
-    ],
-)
+@pytest.mark.parametrize("d,n,failing", [(2, 9, ORACLE_ROWS), (3, 5, ORACLE_ROWS)])
 def test_corrupted_oracle_exponents_fail_unitarity(monkeypatch, mutate, d, n, failing):
     monkeypatch.setattr(verification, "_oracle_exponents", _mutated_exponents(mutate))
     checks = run_verification(d, n)["checks"]
@@ -294,7 +295,6 @@ def test_readme_lists_every_check_in_report_order():
 # Each README condition phrase, read independently of verification.py.
 README_CONDITIONS = {
     "dim <= 81": lambda d, n: d**n <= 81,
-    "dim <= 256": lambda d, n: d**n <= 256,
     "d² <= 4096": lambda d, n: d * d <= 4096,
     "d <= 45, so that some functional size m >= 1 keeps the table within"
     " d^(2m) <= 2048 cases": lambda d, n: d <= 45,
@@ -348,7 +348,8 @@ def test_unitarity_dev_scratch_stays_below_one_oracle():
 
 
 def _probe_dev(system):
-    return verification._oracle_probe_dev(system, np.random.default_rng([0, 1]))
+    labels, probes = enumerate_labels(system), np.random.default_rng([0, 1])
+    return verification._oracle_pass(system, labels, probes)["unitary"]
 
 
 # 729 and 289 amplitudes: each ends in a ragged row block
@@ -363,9 +364,10 @@ def test_oracle_probe_measures_scaled_roots(monkeypatch, n, d):
 
 
 def test_oracle_probe_scratch_stays_below_a_quarter_oracle(monkeypatch):
-    # Besides the one-byte exponent table, built here first, the probe holds
-    # one row block, take's intp copy of that block's exponents and the p x dim
-    # accumulator, never the 16·dim² bytes of the complex oracle.
+    # Besides the one-byte exponent table, built here first, the pass holds
+    # one row block, take's intp copy of one row's exponents, the dim x p
+    # product O X and the p x dim accumulator, never the 16·dim² bytes of the
+    # complex oracle.
     system = QuditSystem(11, 2)
     exponents = fourier._oracle_exponents(system)
     monkeypatch.setattr(verification, "_oracle_exponents", lambda system: exponents)
@@ -384,11 +386,14 @@ def test_oracle_probe_leaves_every_other_row_bit_identical(monkeypatch, d, n, se
     # sweep's rng would move the random states of the rows after it.
     def other_rows():
         measured = _measured(run_verification(d, n, seed)["checks"])
-        return measured.pop("dense_oracle_unitary"), {
+        probe = measured["dense_oracle_unitary"]
+        return probe, {
             name: value.hex() for name, value in measured.items()
+            if name not in ORACLE_ROWS
         }
 
     probe, unpatched = other_rows()
-    monkeypatch.setattr(verification, "_oracle_probe_dev", lambda system, rng: 0.0)
+    zeros = dict.fromkeys(("unitary", "transform", "planewave"), 0.0)
+    monkeypatch.setattr(verification, "_oracle_pass", lambda system, labels, rng: zeros)
     assert other_rows() == (0.0, unpatched)
     assert probe > 0.0
