@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from ._tensor import apply_at
-from .groups import DigitLabel, QuditSystem, functional_values, product_table
+from .groups import DigitLabel, QuditSystem, functional_rows, product_table
 from .states import Representation, StateVector, require_rep
 
 
@@ -51,8 +51,13 @@ def planewave(k: DigitLabel) -> StateVector:
     Amplitude at q is exp(2*pi*i*(k.q mod d)/d) / sqrt(d**n); equals
     to_q_rep(basis_state(k, K)) up to floating rounding.
     """
-    amps = _scaled_roots(k.system)[functional_values(k)]
+    amps = planewave_rows(k.system, np.array([k.digits]))[0]
     return StateVector(k.system, Representation.Q, amps)
+
+
+def planewave_rows(system: QuditSystem, digits: np.ndarray) -> np.ndarray:
+    """planewave(k)'s amplitudes for each row k of a (K, n) digit array: (K, d**n)."""
+    return _scaled_roots(system)[functional_rows(digits, system.d)]
 
 
 def dense_fourier_oracle(system: QuditSystem) -> np.ndarray:

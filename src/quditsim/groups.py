@@ -6,7 +6,6 @@ import itertools
 import operator
 import sys
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -121,10 +120,26 @@ def product_table(d: int) -> np.ndarray:
     return table.astype(np.min_scalar_type(d - 1), copy=False)
 
 
+def functional_rows(digits: np.ndarray, d: int) -> np.ndarray:
+    """k.q mod d for each row k of a (K, n) digit array and every basis label q.
+
+    An int64 array of shape (K, d**n), each row in index order: the Kronecker
+    sum of the digits' multiples of 0..d-1, reduced once. The wires are added
+    from the last, the least significant, so that each broadcast add runs
+    along the table built so far, not along a new axis of length d.
+    """
+    r = np.arange(d)
+    table = digits[:, -1:] * r
+    for j in range(digits.shape[1] - 2, -1, -1):
+        table = (digits[:, j, None] * r)[:, :, None] + table[:, None, :]
+        table = table.reshape(len(digits), -1)
+    table %= d
+    return table
+
+
 def functional_values(k: DigitLabel) -> np.ndarray:
     """k.q mod d for every basis label q, as an int array in index order."""
-    d = k.system.d
-    return reduce(np.add.outer, [kj * np.arange(d) for kj in k.digits]).reshape(-1) % d
+    return functional_rows(np.array([k.digits]), k.system.d)[0]
 
 
 def label_to_index(q: DigitLabel) -> int:

@@ -13,7 +13,8 @@ from quditsim import (
     is_prime,
     label_to_index,
 )
-from quditsim.groups import functional_values
+from quditsim.fourier import planewave, planewave_rows
+from quditsim.groups import functional_rows, functional_values
 
 
 def label(digits, n, d):
@@ -127,11 +128,23 @@ def test_dot_mod_bilinear_sampled():
         assert dot_mod(k, add_mod(a, b)) == (dot_mod(k, a) + dot_mod(k, b)) % 3
 
 
-@pytest.mark.parametrize("n,d", [(1, 2), (1, 5), (2, 3), (3, 2), (2, 4), (3, 3)])
+# the batched rows equal the per-label calls byte for byte, so verify may
+# compare the oracle with either
+@pytest.mark.parametrize(
+    "n,d",
+    [(1, 2), (1, 5), (2, 3), (3, 2), (2, 4), (3, 3), (5, 2), (4, 3), (3, 6), (2, 12)],
+)
 def test_functional_values_match_dot_mod(n, d):
-    labels = enumerate_labels(QuditSystem(n, d))
-    for k in labels:
-        assert functional_values(k).tolist() == [dot_mod(k, q) for q in labels]
+    system = QuditSystem(n, d)
+    labels = enumerate_labels(system)
+    digits = np.array([k.digits for k in labels])
+    rows, waves = functional_rows(digits, d), planewave_rows(system, digits)
+    assert rows.dtype == np.int64
+    for k, row, wave in zip(labels, rows, waves, strict=True):
+        values = functional_values(k)
+        assert values.tolist() == [dot_mod(k, q) for q in labels]
+        assert (row.dtype, row.tobytes()) == (values.dtype, values.tobytes())
+        assert wave.tobytes() == planewave(k).amplitudes.tobytes()
 
 
 def test_label_index_examples():

@@ -12,7 +12,7 @@ from quditsim import (
     QuditSystem,
     StateVector,
     dense_fourier_oracle,
-    enumerate_labels,
+    index_to_label,
     run_verification,
 )
 
@@ -152,7 +152,13 @@ def test_digit_reversed_planewaves_fail_the_transform_rows(monkeypatch):
     def reversed_wave(k):
         return fourier.planewave(DigitLabel(k.digits[::-1], k.system))
 
+    # both planewave paths: at (3, 2) the spot labels 00, 11 and 22 are
+    # palindromes, so the per-label path alone is compared only with itself
     monkeypatch.setattr(verification, "planewave", reversed_wave)
+    monkeypatch.setattr(
+        verification, "planewave_rows",
+        lambda system, digits: fourier.planewave_rows(system, digits[:, ::-1]),
+    )
     assert _failing(3, 2) == {
         "planewave_matches_transform",
         "planewave_eigenstate_relation",
@@ -171,6 +177,20 @@ def test_repeated_planewave_fails_orthonormality(monkeypatch):
         "planewave_orthonormality",
         "planewave_eigenstate_relation",
     }
+
+
+# the batched rows are compared with the oracle in the pass, and nowhere else
+@pytest.mark.parametrize("d,n", [(3, 2), (2, 9)])
+def test_one_replaced_planewave_row_fails_only_the_transform_row(monkeypatch, d, n):
+    replaced = index_to_label(4, QuditSystem(n, d)).digits
+
+    def rows_with_label_4_as_0(system, digits):
+        digits = digits.copy()
+        digits[(digits == replaced).all(axis=1)] = 0
+        return fourier.planewave_rows(system, digits)
+
+    monkeypatch.setattr(verification, "planewave_rows", rows_with_label_4_as_0)
+    assert _failing(d, n) == {"planewave_matches_transform"}
 
 
 def _mutated_roots(mutate):
@@ -348,8 +368,8 @@ def test_unitarity_dev_scratch_stays_below_one_oracle():
 
 
 def _probe_dev(system):
-    labels, probes = enumerate_labels(system), np.random.default_rng([0, 1])
-    return verification._oracle_pass(system, labels, probes)["unitary"]
+    probes = np.random.default_rng([0, 1])
+    return verification._oracle_pass(system, probes)["unitary"]
 
 
 # 729 and 289 amplitudes: each ends in a ragged row block
@@ -394,6 +414,6 @@ def test_oracle_probe_leaves_every_other_row_bit_identical(monkeypatch, d, n, se
 
     probe, unpatched = other_rows()
     zeros = dict.fromkeys(("unitary", "transform", "planewave"), 0.0)
-    monkeypatch.setattr(verification, "_oracle_pass", lambda system, labels, rng: zeros)
+    monkeypatch.setattr(verification, "_oracle_pass", lambda system, rng: zeros)
     assert other_rows() == (0.0, unpatched)
     assert probe > 0.0
