@@ -36,6 +36,11 @@ from .states import (
 UNITARY_TOL = 1e-10
 
 
+def _unitarity_dev(m: np.ndarray) -> float:
+    """max |M M† - 1| for a square matrix M, in one product."""
+    return float(np.max(np.abs(m @ m.conj().T - np.eye(len(m)))))
+
+
 def _add_to_digit(
     amps: np.ndarray, d: int, n: int, wires: tuple[int, ...], shift: np.ndarray
 ) -> np.ndarray:
@@ -183,7 +188,7 @@ class SingleQuditUnitary(_GateKind):
             raise ValueError(f"matrix must be square, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
-        dev = np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
+        dev = _unitarity_dev(m)
         if dev > UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
         m.flags.writeable = False

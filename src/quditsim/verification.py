@@ -43,6 +43,7 @@ from .gates import (
     Gate,
     SingleQuditUnitary,
     Translation,
+    _unitarity_dev,
     apply_gates,
     build_functional_circuit,
     run_circuit,
@@ -65,10 +66,10 @@ _ROUND_TRIP_STATES = 20
 _ENTROPY_STATES = 100
 _RANDOM_GATES = 100
 _FUNCTIONAL_CASE_CAP = 2048
-_GRAM_BLOCK = 256  # rows per block in _unitarity_dev and _oracle_pass
+_ORACLE_BLOCK = 256  # rows of O per block in _oracle_pass
 _PROBES = 8  # Gaussian columns X in _oracle_pass
-# labels per planewave_rows call in _oracle_pass: 16 raised verify's peak RSS
-# by about 0.5 MB at (5, 5), 4 is as fast and adds nothing to the peak
+# rows of O per take and per planewave_rows call in _oracle_pass: 16 raised
+# verify's peak RSS by about 0.5 MB at (5, 5), 4 is as fast and adds nothing
 _WAVE_BLOCK = 4
 _COMPARISONS = {"<": operator.lt, ">": operator.gt}
 
@@ -80,17 +81,9 @@ _QUTRIT_REFERENCE_PARTITIONS = {
 }
 
 
-def _unitarity_dev(u: np.ndarray) -> float:
-    """max |U U† - 1| over the diagonal and upper blocks; U U† is Hermitian."""
-    dev = 0.0
-    for j in range(0, len(u), _GRAM_BLOCK):
-        adjoint_cols = u[j : j + _GRAM_BLOCK].conj().T
-        for i in range(0, j + 1, _GRAM_BLOCK):
-            block = u[i : i + _GRAM_BLOCK] @ adjoint_cols
-            if i == j:
-                block[np.diag_indices(len(block))] -= 1.0
-            dev = max(dev, float(np.max(np.abs(block))))
-    return dev
+def _label_digits(system: QuditSystem) -> np.ndarray:
+    """Row i holds the digits of label i, the first digit most significant."""
+    return np.indices((system.d,) * system.n).reshape(system.n, -1).T
 
 
 def _oracle_pass(
@@ -105,27 +98,26 @@ def _oracle_pass(
     """
     d, n, dim = system.d, system.n, system.dim
     exponents, roots = _oracle_exponents(system), _scaled_roots(system)
-    # row i holds the digits of label i, the first digit most significant
-    digits = np.indices((d,) * n).reshape(n, -1).T
+    digits = _label_digits(system)
     x = probe_rng.standard_normal((dim, 2 * _PROBES)).view(np.complex128)
-    block_buf = np.empty((min(dim, _GRAM_BLOCK), dim), dtype=roots.dtype)
+    block_buf = np.empty((min(dim, _ORACLE_BLOCK), dim), dtype=roots.dtype)
     ox = np.empty((dim, _PROBES), dtype=roots.dtype)
     # Σ (B X)^H B over O's row blocks B is (O†O X)^H: dim²·p work, not dim³
     acc = np.zeros((_PROBES, dim), dtype=roots.dtype)
     planewave_dev = 0.0
-    for start in range(0, dim, _GRAM_BLOCK):
-        block = block_buf[: min(_GRAM_BLOCK, dim - start)]
-        # one row at a time, so take's intp copy of the exponents is one row;
-        # mode="clip" writes straight into out, "raise" fills a temporary first
-        for i, row in enumerate(block, start):
-            roots.take(exponents[i], out=row, mode="clip")
+    for start in range(0, dim, _ORACLE_BLOCK):
+        block = block_buf[: min(_ORACLE_BLOCK, dim - start)]
+        for sub in range(0, len(block), _WAVE_BLOCK):
+            chunk = block[sub : sub + _WAVE_BLOCK]
+            labels = slice(start + sub, start + sub + len(chunk))
+            # take's intp copy of the exponents is one chunk; mode="clip"
+            # writes straight into out, "raise" fills a temporary first
+            roots.take(exponents[labels], out=chunk, mode="clip")
+            waves = planewave_rows(system, digits[labels])
+            planewave_dev = max(planewave_dev, float(np.max(np.abs(waves - chunk))))
         rows = slice(start, start + len(block))
         ox[rows] = block @ x
         acc += np.conj(ox[rows]).T @ block
-        for sub in range(0, len(block), _WAVE_BLOCK):
-            expected = block[sub : sub + _WAVE_BLOCK]
-            waves = planewave_rows(system, digits[start + sub :][: len(expected)])
-            planewave_dev = max(planewave_dev, float(np.max(np.abs(waves - expected))))
     fx = apply_at(x, d, n, range(n), single_qudit_fourier(d))
     scale = np.max(np.abs(x))
     return {
@@ -224,15 +216,15 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
             dev = max(dev, float(np.max(np.abs(direct - planewave(k).amplitudes))))
         return dev
 
-    # the two exhaustive planewave rows, the only ones that build every label
-    def waves() -> list[np.ndarray]:
-        return [planewave(k).amplitudes for k in enumerate_labels(system)]
+    # the two exhaustive rows build every planewave anew: the oracle pass keeps none
+    def waves() -> np.ndarray:
+        return planewave_rows(system, _label_digits(system))
 
     def eigen_dev() -> float:
         return max(
             float(np.max(np.abs(apply_at(wave, d, n, (wire,), kq) - kj * wave)))
-            for k, wave in zip(enumerate_labels(system), waves())
-            for wire, kj in enumerate(k.digits)
+            for k, wave in zip(_label_digits(system).tolist(), waves())
+            for wire, kj in enumerate(k)
         )
 
     @functools.cache
@@ -295,7 +287,7 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
         ("planewave_matches_transform", True, 1e-12, "<",
          planewave_dev),
         # the conjugated planewaves, as rows, are unitary iff orthonormal
-        ("planewave_orthonormality", dim <= 81, 1e-12, "<",
+        ("planewave_orthonormality", n >= 2 and dim <= 81, 1e-12, "<",
          lambda: _unitarity_dev(np.conj(waves()))),
         ("dense_oracle_unitary", True, 1e-11, "<",
          lambda: oracle()["unitary"]),

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import quditsim.fourier as fourier
+import quditsim.gates as gates
 import quditsim.verification as verification
 from quditsim import (
     DigitLabel,
     QuditSystem,
+    SingleQuditUnitary,
     StateVector,
     dense_fourier_oracle,
     index_to_label,
@@ -84,10 +86,13 @@ ABOVE_EXHAUSTIVE_CAP = [
     name for name in BASE_CHECKS
     if name not in ("planewave_orthonormality", "planewave_eigenstate_relation")
 ]
+# At n = 1 the conjugated planewaves are F's bytes conjugated, so
+# planewave_orthonormality would repeat single_qudit_fourier_unitary.
+ONE_QUDIT_CHECKS = [name for name in BASE_CHECKS if name != "planewave_orthonormality"]
 # From d = 65 on, d² > 4096 drops the controlled-add check, and no functional
 # size fits the case cap (d >= 46), so both functional checks drop out too.
 ABOVE_CADD_CAP = [
-    name for name in BASE_CHECKS
+    name for name in ONE_QUDIT_CHECKS
     if name not in (
         "controlled_add_block_structure",
         "functional_circuit_exhaustive",
@@ -99,7 +104,7 @@ ABOVE_CADD_CAP = [
 @pytest.mark.parametrize(
     "d,n,names",
     [
-        (2, 1, BASE_CHECKS),
+        (2, 1, ONE_QUDIT_CHECKS),
         (3, 2, QUTRIT_PAIR_CHECKS),
         (2, 3, BASE_CHECKS),
         (4, 3, BASE_CHECKS),
@@ -132,7 +137,7 @@ def test_functional_checks_drop_out_without_affordable_size(monkeypatch):
     monkeypatch.setattr(verification, "_functional_size", lambda d, n: 0)
     names = [c["name"] for c in run_verification(2, 1)["checks"]]
     assert names == [
-        name for name in BASE_CHECKS
+        name for name in ONE_QUDIT_CHECKS
         if name not in ("functional_circuit_exhaustive", "partition_matches_circuit")
     ]
 
@@ -165,23 +170,20 @@ def test_digit_reversed_planewaves_fail_the_transform_rows(monkeypatch):
     }
 
 
-def test_repeated_planewave_fails_orthonormality(monkeypatch):
-    def repeated_wave(k):
-        if k.digits == (1, 1):
-            k = DigitLabel((0, 0), k.system)
-        return fourier.planewave(k)
-
-    monkeypatch.setattr(verification, "planewave", repeated_wave)
-    assert _failing(3, 2) == {
+# Label 4 repeats label 0 in every batch of planewave rows: the oracle pass
+# sees it at every dim, and the two exhaustive rows at dim <= 81.
+REPLACED_ROW_FAILURES = {
+    (3, 2): {
         "planewave_matches_transform",
         "planewave_orthonormality",
         "planewave_eigenstate_relation",
-    }
+    },
+    (2, 9): {"planewave_matches_transform"},
+}
 
 
-# the batched rows are compared with the oracle in the pass, and nowhere else
 @pytest.mark.parametrize("d,n", [(3, 2), (2, 9)])
-def test_one_replaced_planewave_row_fails_only_the_transform_row(monkeypatch, d, n):
+def test_one_replaced_planewave_row_fails_the_rows_that_build_it(monkeypatch, d, n):
     replaced = index_to_label(4, QuditSystem(n, d)).digits
 
     def rows_with_label_4_as_0(system, digits):
@@ -190,7 +192,7 @@ def test_one_replaced_planewave_row_fails_only_the_transform_row(monkeypatch, d,
         return fourier.planewave_rows(system, digits)
 
     monkeypatch.setattr(verification, "planewave_rows", rows_with_label_4_as_0)
-    assert _failing(d, n) == {"planewave_matches_transform"}
+    assert _failing(d, n) == REPLACED_ROW_FAILURES[d, n]
 
 
 def _mutated_roots(mutate):
@@ -315,6 +317,7 @@ def test_readme_lists_every_check_in_report_order():
 # Each README condition phrase, read independently of verification.py.
 README_CONDITIONS = {
     "dim <= 81": lambda d, n: d**n <= 81,
+    "n >= 2 and dim <= 81": lambda d, n: n >= 2 and d**n <= 81,
     "d² <= 4096": lambda d, n: d * d <= 4096,
     "d <= 45, so that some functional size m >= 1 keeps the table within"
     " d^(2m) <= 2048 cases": lambda d, n: d <= 45,
@@ -336,35 +339,15 @@ def test_readme_conditions_match_the_report(d, n):
     assert [c["name"] for c in run_verification(d, n)["checks"]] == expected
 
 
-def _one_product_dev(u):
-    return float(np.max(np.abs(u @ u.conj().T - np.eye(len(u)))))
-
-
-def test_blocked_unitarity_dev_matches_one_product():
-    oracle = dense_fourier_oracle(QuditSystem(10, 2))
-    assert abs(verification._unitarity_dev(oracle) - _one_product_dev(oracle)) <= 1e-15
-
-
 def test_blocked_unitarity_dev_sees_a_change_in_the_last_row():
     # Only row dim-1 of O changes, so only row and column dim-1 of O O†
-    # change; that column lies in the upper blocks the check keeps. Its
-    # diagonal entry moves by about 2 * 1e-6 / sqrt(1024) = 6.25e-8.
+    # change. Its diagonal entry moves by about 2 * 1e-6 / sqrt(1024) =
+    # 6.25e-8, past the gates' own tolerance of 1e-10 as well.
     oracle = dense_fourier_oracle(QuditSystem(10, 2))
     oracle[-1, 0] += 1e-6
-    dev = verification._unitarity_dev(oracle)
-    assert dev >= 6e-8
-    assert abs(dev - _one_product_dev(oracle)) <= 1e-15
-
-
-def test_unitarity_dev_scratch_stays_below_one_oracle():
-    oracle = dense_fourier_oracle(QuditSystem(11, 2))
-    tracemalloc.start()
-    try:
-        verification._unitarity_dev(oracle)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < oracle.nbytes
+    assert gates._unitarity_dev(oracle) >= 6e-8
+    with pytest.raises(ValueError, match="not unitary"):
+        SingleQuditUnitary(0, oracle)
 
 
 def _probe_dev(system):
@@ -385,7 +368,7 @@ def test_oracle_probe_measures_scaled_roots(monkeypatch, n, d):
 
 def test_oracle_probe_scratch_stays_below_a_quarter_oracle(monkeypatch):
     # Besides the one-byte exponent table, built here first, the pass holds
-    # one row block, take's intp copy of one row's exponents, the dim x p
+    # one row block, take's intp copy of four rows' exponents, the dim x p
     # product O X and the p x dim accumulator, never the 16·dim² bytes of the
     # complex oracle.
     system = QuditSystem(11, 2)
