@@ -170,29 +170,43 @@ def test_digit_reversed_planewaves_fail_the_transform_rows(monkeypatch):
     }
 
 
-# Label 4 repeats label 0 in every batch of planewave rows: the oracle pass
-# sees it at every dim, and the two exhaustive rows at dim <= 81.
-REPLACED_ROW_FAILURES = {
-    (3, 2): {
+def _replacing_label_4(d, n, replace):
+    """planewave_rows with label 4's row passed through replace."""
+    label_4 = index_to_label(4, QuditSystem(n, d)).digits
+
+    def rows(system, digits):
+        waves = fourier.planewave_rows(system, digits)
+        hit = (digits == label_4).all(axis=1)
+        waves[hit] = replace(system, waves[hit])
+        return waves
+
+    return rows
+
+
+# At (3, 2) label 4 is (1, 1): its row repeated from label 0 is caught by the
+# oracle pass and by both exhaustive rows, which build every planewave anew.
+def test_repeated_planewave_fails_orthonormality(monkeypatch):
+    def label_0(system, rows):
+        return fourier.planewave(DigitLabel((0, 0), system)).amplitudes
+
+    monkeypatch.setattr(verification, "planewave_rows", _replacing_label_4(3, 2, label_0))
+    assert _failing(3, 2) == {
         "planewave_matches_transform",
         "planewave_orthonormality",
         "planewave_eigenstate_relation",
-    },
-    (2, 9): {"planewave_matches_transform"},
-}
+    }
 
 
+# A global phase on one planewave keeps the set orthonormal and each wave an
+# eigenstate, so only the oracle pass's row-by-row comparison sees it; at
+# (2, 9) the exhaustive rows are not run at all.
 @pytest.mark.parametrize("d,n", [(3, 2), (2, 9)])
-def test_one_replaced_planewave_row_fails_the_rows_that_build_it(monkeypatch, d, n):
-    replaced = index_to_label(4, QuditSystem(n, d)).digits
-
-    def rows_with_label_4_as_0(system, digits):
-        digits = digits.copy()
-        digits[(digits == replaced).all(axis=1)] = 0
-        return fourier.planewave_rows(system, digits)
-
-    monkeypatch.setattr(verification, "planewave_rows", rows_with_label_4_as_0)
-    assert _failing(d, n) == REPLACED_ROW_FAILURES[d, n]
+def test_one_replaced_planewave_row_fails_only_the_transform_row(monkeypatch, d, n):
+    monkeypatch.setattr(
+        verification, "planewave_rows",
+        _replacing_label_4(d, n, lambda system, rows: -rows),
+    )
+    assert _failing(d, n) == {"planewave_matches_transform"}
 
 
 def _mutated_roots(mutate):
