@@ -12,6 +12,7 @@ from quditsim import (
     DigitLabel,
     QuditSystem,
     Representation,
+    SingleQuditUnitary,
     basis_state,
     planewave,
     state_to_dict,
@@ -396,6 +397,20 @@ def test_verify_non_prime(capsys):
     code, out, _ = invoke(capsys, ["verify", "--d", "6", "--n", "2"])
     assert code == EXIT_OK
     assert json.loads(out)["all_pass"] is True
+
+
+# A unitary that moves the norm by 1e-6 fails verify's norm-drift row: the
+# report is written and names that row, with no "not normalized" error.
+def test_verify_reports_a_drifting_unitary(monkeypatch, capsys):
+    apply = SingleQuditUnitary.apply
+    monkeypatch.setattr(
+        SingleQuditUnitary, "apply",
+        lambda self, amps, d, n: apply(self, amps, d, n) * (1 + 1e-6),
+    )
+    code, out, err = invoke(capsys, ["verify", "--d", "3", "--n", "2"])
+    assert code == EXIT_VALIDATION
+    assert json.loads(out)["all_pass"] is False
+    assert err == "failing checks: random_circuit_norm_drift\n"
 
 
 def test_verify_dimension_cap(capsys):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import quditsim.analysis as analysis
 import quditsim.fourier as fourier
 import quditsim.gates as gates
 import quditsim.verification as verification
@@ -273,6 +274,24 @@ def test_conjugated_fourier_fails_the_transform_row(monkeypatch, d, n):
     assert _failing(d, n) == {"transform_matches_dense_oracle"}
 
 
+# A phase on column 1 of F keeps F unitary, commutes with the diagonal phase
+# that translation_identity conjugates by F, and is missed by the spot labels
+# (at (3, 4) the middle label is 1111, whose four phases multiply to 1), so
+# only the oracle's columns against F see it, also at n = 1.
+@pytest.mark.parametrize("d,n", [(5, 1), (7, 1), (5, 2), (3, 4)])
+def test_phase_on_one_column_of_f_fails_only_the_transform_row(monkeypatch, d, n):
+    single_qudit_fourier = fourier.single_qudit_fourier
+
+    def phased(d):
+        f = single_qudit_fourier(d)
+        f[:, 1] *= 1j
+        return f
+
+    for module in (fourier, analysis, verification):
+        monkeypatch.setattr(module, "single_qudit_fourier", phased)
+    assert _failing(d, n) == {"transform_matches_dense_oracle"}
+
+
 def _mutated_exponents(mutate):
     """verification._oracle_exponents with mutate applied to each new table."""
 
@@ -414,3 +433,16 @@ def test_oracle_probe_leaves_every_other_row_bit_identical(monkeypatch, d, n, se
     monkeypatch.setattr(verification, "_oracle_pass", lambda system, rng: zeros)
     assert other_rows() == (0.0, unpatched)
     assert probe > 0.0
+
+
+# Each unitary scaled by 1 + 1e-6 moves the norm. The random circuit's norm is
+# read from its raw output buffer, so the drift is a failing row, not a
+# StateVector's "not normalized" error.
+@pytest.mark.parametrize("d,n", [(3, 2), (2, 5), (5, 3), (7, 1)])
+def test_drifting_unitary_fails_only_the_norm_drift_row(monkeypatch, d, n):
+    apply = gates.SingleQuditUnitary.apply
+    monkeypatch.setattr(
+        gates.SingleQuditUnitary, "apply",
+        lambda self, amps, d, n: apply(self, amps, d, n) * (1 + 1e-6),
+    )
+    assert _failing(d, n) == {"random_circuit_norm_drift"}
