@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from ._tensor import apply_at, wire_marginal
-from .fourier import single_qudit_fourier, to_k_rep
+from .fourier import _transform, single_qudit_fourier, to_k_rep
 from .gates import translation_gate_matrix
 from .groups import (
     DigitLabel,
@@ -137,8 +137,15 @@ def shannon_entropy(probs: np.ndarray, base: float | None = None) -> float:
 def entropies(state: StateVector, base: float | None = None) -> EntropyReport:
     """Entropy of the q-distribution and of the dual k-distribution."""
     require_rep(state, Representation.Q)
-    h_q = shannon_entropy(probabilities(state), base)
-    h_k = shannon_entropy(probabilities(to_k_rep(state)), base)
+    return _entropies(state.amplitudes, state.system, base)
+
+
+def _entropies(
+    amps: np.ndarray, system: QuditSystem, base: float | None = None
+) -> EntropyReport:
+    """The EntropyReport of a raw q-rep buffer, whose k side _transform gives."""
+    h_q = shannon_entropy(np.abs(amps) ** 2, base)
+    h_k = shannon_entropy(np.abs(_transform(amps, system, Representation.K)) ** 2, base)
     label = "e" if base is None else format(base, "g")
     return EntropyReport(h_q=h_q, h_k=h_k, sum=h_q + h_k, log_base=label)
 

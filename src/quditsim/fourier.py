@@ -5,8 +5,8 @@ the single-qudit matrix F[q, k] = omega**(q*k) / sqrt(d) maps k-rep
 amplitudes to q-rep amplitudes; the opposite direction uses F's conjugate
 transpose. The n-qudit transform factorizes as one F per qudit because the
 planewave phase exp(2*pi*i*(sum k_j*q_j)/d) is insensitive to reducing the
-exponent sum mod d. F gathers d roots through groups.product_table(d), the
-table of q*k mod d, from which the dense oracle's exponents are built.
+exponent sum mod d. F and the dense oracle's exponents are built from the q*k
+mod d table groups.product_table(d). _transform alone applies F to states.
 """
 
 from __future__ import annotations
@@ -28,20 +28,24 @@ def single_qudit_fourier(d: int) -> np.ndarray:
     return roots[product_table(d)]
 
 
+def _transform(amps: np.ndarray, system: QuditSystem, to: Representation) -> np.ndarray:
+    """F (to Q) or F dagger (to K) on each qudit of a raw (d**n, *batch) buffer."""
+    f = single_qudit_fourier(system.d)
+    f = f if to is Representation.Q else f.conj().T
+    return apply_at(amps, system.d, system.n, range(system.n), f)
+
+
 def to_q_rep(phi: StateVector) -> StateVector:
     """Transform a k-rep state to the q-representation (F on every qudit)."""
     require_rep(phi, Representation.K)
-    d, n = phi.system.d, phi.system.n
-    amps = apply_at(phi.amplitudes, d, n, range(n), single_qudit_fourier(d))
+    amps = _transform(phi.amplitudes, phi.system, Representation.Q)
     return StateVector(phi.system, Representation.Q, amps)
 
 
 def to_k_rep(psi: StateVector) -> StateVector:
     """Transform a q-rep state to the k-representation (F dagger per qudit)."""
     require_rep(psi, Representation.Q)
-    d, n = psi.system.d, psi.system.n
-    f_dag = single_qudit_fourier(d).conj().T
-    amps = apply_at(psi.amplitudes, d, n, range(n), f_dag)
+    amps = _transform(psi.amplitudes, psi.system, Representation.K)
     return StateVector(psi.system, Representation.K, amps)
 
 

@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .analysis import (
-    entropies,
+    _entropies,
     commutator_qk,
     k_observable_in_q_rep,
     partition,
@@ -29,11 +29,9 @@ from ._tensor import apply_at
 from .fourier import (
     _oracle_exponents,
     _scaled_roots,
-    planewave,
+    _transform,
     planewave_rows,
     single_qudit_fourier,
-    to_k_rep,
-    to_q_rep,
 )
 from .gates import (
     Circuit,
@@ -135,16 +133,14 @@ def _functional_size(d: int, n: int) -> int:
 
 
 def _round_trip(system: QuditSystem, rng: np.random.Generator) -> dict[str, float]:
-    """Max |to_q_rep(to_k_rep(psi)) - psi| and max k-rep norm drift over random psi."""
+    """Max |F(F† psi) - psi| and max k-rep norm drift over raw random psi buffers."""
     round_trip_dev = norm_dev = 0.0
     for _ in range(_ROUND_TRIP_STATES):
-        psi = random_state(system, Representation.Q, rng)
-        phi = to_k_rep(psi)
-        norm_dev = max(norm_dev, _norm_dev(phi.amplitudes))
-        back = to_q_rep(phi)
-        round_trip_dev = max(
-            round_trip_dev, float(np.max(np.abs(back.amplitudes - psi.amplitudes)))
-        )
+        psi = random_state(system, Representation.Q, rng).amplitudes
+        phi = _transform(psi, system, Representation.K)
+        norm_dev = max(norm_dev, _norm_dev(phi))
+        back = _transform(phi, system, Representation.Q)
+        round_trip_dev = max(round_trip_dev, float(np.max(np.abs(back - psi))))
     return {"round_trip": round_trip_dev, "norm": norm_dev}
 
 
@@ -222,6 +218,7 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
     kq = k_observable_in_q_rep(d).matrix
     # first, middle and last label: the ones that the spot checks sample
     spot_labels = [index_to_label(i, system) for i in sorted({0, dim // 2, dim - 1})]
+    spot_digits = np.array([k.digits for k in spot_labels])
 
     # the round trip is rng's first draw; the oracle's probes have a generator
     # of their own, and the table draws nothing
@@ -230,12 +227,13 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
     table = _functional_table(d, m) if m >= 1 else {}
 
     def planewave_dev() -> float:
-        # the pass ties every planewave to the oracle; to_q_rep itself is
-        # compared with the planewaves at the spot labels
+        # the pass ties every planewave to the oracle; F applied to each spot
+        # label's k-rep point mass is compared with that label's planewave
         dev = oracle["planewave"]
-        for k in spot_labels:
-            direct = to_q_rep(basis_state(k, Representation.K)).amplitudes
-            dev = max(dev, float(np.max(np.abs(direct - planewave(k).amplitudes))))
+        for k, wave in zip(spot_labels, planewave_rows(system, spot_digits)):
+            point = basis_state(k, Representation.K).amplitudes
+            direct = _transform(point, system, Representation.Q)
+            dev = max(dev, float(np.max(np.abs(direct - wave))))
         return dev
 
     # the two exhaustive rows build every planewave anew: the oracle pass keeps none
@@ -250,21 +248,22 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
         )
 
     def min_entropy_sum() -> float:
-        return min(
-            entropies(random_state(system, Representation.Q, rng)).sum
+        reports = (
+            _entropies(random_state(system, Representation.Q, rng).amplitudes, system)
             for _ in range(_ENTROPY_STATES)
         )
+        return min(report.sum for report in reports)
 
     def entropy_extremes_dev() -> float:
         full_entropy = n * np.log(d)
         dev = 0.0
-        for label in spot_labels:
-            basis_report = entropies(basis_state(label, Representation.Q))
-            dev = max(dev, abs(basis_report.h_q))
-            dev = max(dev, abs(basis_report.h_k - full_entropy))
-            wave_report = entropies(planewave(label))
-            dev = max(dev, abs(wave_report.h_q - full_entropy))
-            dev = max(dev, abs(wave_report.h_k))
+        for label, row in zip(spot_labels, planewave_rows(system, spot_digits)):
+            point = _entropies(basis_state(label, Representation.Q).amplitudes, system)
+            dev = max(dev, abs(point.h_q))
+            dev = max(dev, abs(point.h_k - full_entropy))
+            wave = _entropies(row, system)
+            dev = max(dev, abs(wave.h_q - full_entropy))
+            dev = max(dev, abs(wave.h_k))
         return dev
 
     def random_circuit_norm_dev() -> float:

@@ -38,7 +38,6 @@ from quditsim import (
     tensor_product,
     to_k_rep,
     to_q_rep,
-    translation_gate_matrix,
     verify_translation_identity,
 )
 from quditsim._tensor import apply_at

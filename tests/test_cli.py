@@ -8,6 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+import quditsim.analysis as analysis
+import quditsim.fourier as fourier
+import quditsim.verification as verification
 from quditsim import (
     DigitLabel,
     QuditSystem,
@@ -411,6 +414,65 @@ def test_verify_reports_a_drifting_unitary(monkeypatch, capsys):
     assert code == EXIT_VALIDATION
     assert json.loads(out)["all_pass"] is False
     assert err == "failing checks: random_circuit_norm_drift\n"
+
+
+def _mutate_fourier(monkeypatch, mutate):
+    """F passed through mutate wherever the package reads it."""
+    single_qudit_fourier = fourier.single_qudit_fourier
+    for module in (fourier, analysis, verification):
+        monkeypatch.setattr(
+            module, "single_qudit_fourier", lambda d: mutate(single_qudit_fourier(d))
+        )
+
+
+def _phase_column_1(f):
+    f[:, 1] *= 1j
+    return f
+
+
+def _scale_roots(monkeypatch):
+    scaled_roots = fourier._scaled_roots
+    monkeypatch.setattr(
+        fourier, "_scaled_roots", lambda system: scaled_roots(system) * (1 + 1e-6)
+    )
+
+
+def _scale_unitaries(monkeypatch):
+    apply = SingleQuditUnitary.apply
+    monkeypatch.setattr(
+        SingleQuditUnitary, "apply",
+        lambda self, amps, d, n: apply(self, amps, d, n) * (1 + 1e-6),
+    )
+
+
+# Faults that verify must report as failing rows, never as an "error:" line.
+# F is conjugated only at d >= 3, where it is not real.
+VERIFY_FAULTS = {
+    "f_scaled_1e-6": lambda mp: _mutate_fourier(mp, lambda f: f * (1 + 1e-6)),
+    "f_scaled_1e-11": lambda mp: _mutate_fourier(mp, lambda f: f * (1 + 1e-11)),
+    "roots_scaled_1e-6": _scale_roots,
+    "f_conjugated": lambda mp: _mutate_fourier(mp, np.conj),
+    "f_column_1_phased": lambda mp: _mutate_fourier(mp, _phase_column_1),
+    "unitaries_scaled_1e-6": _scale_unitaries,
+}
+# the faults that move a norm or a planewave's scale
+SCALE_FAULTS = {"f_scaled_1e-6", "f_scaled_1e-11", "roots_scaled_1e-6"}
+
+
+@pytest.mark.parametrize("d,n", [(7, 1), (5, 3)])
+@pytest.mark.parametrize("fault", VERIFY_FAULTS)
+def test_verify_reports_every_fault(monkeypatch, capsys, fault, d, n):
+    VERIFY_FAULTS[fault](monkeypatch)
+    code, out, err = invoke(capsys, ["verify", "--d", str(d), "--n", str(n)])
+    assert code == EXIT_VALIDATION, err
+    report = json.loads(out)
+    assert report["all_pass"] is False
+    (line,) = err.splitlines()
+    assert line.startswith("failing checks: ")
+    failing = set(line.removeprefix("failing checks: ").split(", "))
+    assert failing == {c["name"] for c in report["checks"] if not c["pass"]}
+    if fault in SCALE_FAULTS:
+        assert failing & {"fourier_norm_preservation", "planewave_matches_transform"}
 
 
 def test_verify_dimension_cap(capsys):

@@ -1,5 +1,5 @@
-"""Import hygiene and contraction sites of the package modules, checked with
-the stdlib ast module.
+"""Import hygiene of the package modules and the tests, and contraction sites
+of the package modules, checked with the stdlib ast module.
 
 `__init__.py` is exempt from the unused-import check: its imports are
 re-exports listed in `__all__`.
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "quditsim"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "quditsim"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -34,7 +35,10 @@ def test_checker_flags_an_unused_import():
     assert _unused_imports(source) == ["os (line 1)", "e (line 2)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p in MODULES else f"tests/{p.name}",
+)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 

@@ -12,8 +12,8 @@ import quditsim.verification as verification
 from quditsim import (
     DigitLabel,
     QuditSystem,
+    Representation,
     SingleQuditUnitary,
-    StateVector,
     dense_fourier_oracle,
     index_to_label,
     run_verification,
@@ -155,12 +155,8 @@ def _measured(checks):
 # mutations below replace a verification module global and pin the exact
 # set of rows that fail.
 def test_digit_reversed_planewaves_fail_the_transform_rows(monkeypatch):
-    def reversed_wave(k):
-        return fourier.planewave(DigitLabel(k.digits[::-1], k.system))
-
-    # both planewave paths: at (3, 2) the spot labels 00, 11 and 22 are
-    # palindromes, so the per-label path alone is compared only with itself
-    monkeypatch.setattr(verification, "planewave", reversed_wave)
+    # planewave_rows is the one planewave path; at (3, 2) the spot labels 00,
+    # 11 and 22 are palindromes, so the spot checks alone cannot see this
     monkeypatch.setattr(
         verification, "planewave_rows",
         lambda system, digits: fourier.planewave_rows(system, digits[:, ::-1]),
@@ -244,8 +240,8 @@ def test_scaled_oracle_fails_unitarity(monkeypatch, d, n, failing):
     assert _failing(d, n) == failing
 
 
-# to_q_rep stays in the Fourier rows' path: the round trip reads it, and
-# planewave_matches_transform compares it with the planewaves at three labels.
+# The transform to Q stays in the Fourier rows' path: the round trip reads it,
+# and planewave_matches_transform compares it with the planewaves at three labels.
 @pytest.mark.parametrize(
     "d,n,failing",
     [
@@ -255,11 +251,11 @@ def test_scaled_oracle_fails_unitarity(monkeypatch, d, n, failing):
     ],
 )
 def test_conjugated_to_q_rep_fails_the_transform_rows(monkeypatch, d, n, failing):
-    def conjugated(phi):
-        psi = fourier.to_q_rep(phi)
-        return StateVector(psi.system, psi.rep, np.conj(psi.amplitudes))
+    def conjugated(amps, system, to):
+        out = fourier._transform(amps, system, to)
+        return np.conj(out) if to is Representation.Q else out
 
-    monkeypatch.setattr(verification, "to_q_rep", conjugated)
+    monkeypatch.setattr(verification, "_transform", conjugated)
     assert _failing(d, n) == failing
 
 
