@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from ._tensor import apply_at, wire_marginal
-from .fourier import _transform, single_qudit_fourier, to_k_rep
+from .fourier import _transform, single_qudit_fourier
 from .gates import translation_gate_matrix
 from .groups import (
     DigitLabel,
@@ -109,8 +109,18 @@ def expect_q(state: StateVector) -> np.ndarray:
 def k_distributions(state: StateVector) -> np.ndarray:
     """(n, d) array: row j is the marginal distribution of k_j."""
     require_rep(state, Representation.Q)
-    d, n = state.system.d, state.system.n
-    probs = probabilities(to_k_rep(state))
+    probs = _k_probabilities(state.amplitudes, state.system)
+    return _wire_distributions(probs, state.system)
+
+
+def _k_probabilities(amps: np.ndarray, system: QuditSystem) -> np.ndarray:
+    """The k-rep probabilities of a raw q-rep buffer, through one _transform."""
+    return np.abs(_transform(amps, system, Representation.K)) ** 2
+
+
+def _wire_distributions(probs: np.ndarray, system: QuditSystem) -> np.ndarray:
+    """(n, d) array: row j is the marginal of digit j under flat probabilities."""
+    d, n = system.d, system.n
     return np.array([wire_marginal(probs, d, n, wire) for wire in range(n)])
 
 
@@ -144,8 +154,15 @@ def _entropies(
     amps: np.ndarray, system: QuditSystem, base: float | None = None
 ) -> EntropyReport:
     """The EntropyReport of a raw q-rep buffer, whose k side _transform gives."""
-    h_q = shannon_entropy(np.abs(amps) ** 2, base)
-    h_k = shannon_entropy(np.abs(_transform(amps, system, Representation.K)) ** 2, base)
+    return _entropy_report(np.abs(amps) ** 2, _k_probabilities(amps, system), base)
+
+
+def _entropy_report(
+    q_probs: np.ndarray, k_probs: np.ndarray, base: float | None = None
+) -> EntropyReport:
+    """The EntropyReport of the q- and k-rep probabilities of one state."""
+    h_q = shannon_entropy(q_probs, base)
+    h_k = shannon_entropy(k_probs, base)
     label = "e" if base is None else format(base, "g")
     return EntropyReport(h_q=h_q, h_k=h_k, sum=h_q + h_k, log_base=label)
 

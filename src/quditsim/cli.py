@@ -9,10 +9,13 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
+import os
 import sys
+from collections.abc import Callable
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
@@ -20,11 +23,12 @@ import numpy as np
 
 from ._tensor import wire_marginal
 from .analysis import (
-    entropies,
+    _entropy_report,
+    _k_probabilities,
+    _wire_distributions,
     entropy_to_dict,
     expect_k,
     expect_q,
-    k_distributions,
     partition,
     partition_to_dict,
 )
@@ -110,12 +114,28 @@ def dumps_canonical(obj: Any) -> str:
     return template % tuple(floats)
 
 
-def _load_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:  # json's decoder recurses once per nesting level
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+def _load_json(path: str, parse: Callable[[Any], Any]) -> Any:
+    """parse(the JSON document in path), with the cyclic collector paused.
+
+    json.load makes one new list per amplitude, 65536 for a 64k-amplitude
+    state, and each would count towards a collection that has no cycle to
+    free. The document is dropped before the collector's state is restored,
+    whether or not the load or the parse raised.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    doc = None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except RecursionError:  # json's decoder recurses once per nesting level
+                raise ValueError(f"{path}: JSON nested too deeply") from None
+        return parse(doc)
+    finally:
+        doc = None
+        if enabled:
+            gc.enable()
 
 
 def _parse_digit_list(text: str) -> tuple[int, ...]:
@@ -142,7 +162,7 @@ def _label_from_args(n: int, d: int, digit_text: str) -> DigitLabel:
 
 
 def _cmd_transform(args: argparse.Namespace) -> tuple[Any, int]:
-    state = state_from_dict(_load_json(args.infile))
+    state = _load_json(args.infile, state_from_dict)
     target = Representation(args.to)
     if state.rep is target:
         out = state
@@ -164,7 +184,7 @@ def _cmd_partition(args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def _cmd_functional(args: argparse.Namespace) -> tuple[Any, int]:
-    handlers = state_from_dict(_load_json(args.handlers))
+    handlers = _load_json(args.handlers, state_from_dict)
     if handlers.system.d != args.d:
         raise ValueError(
             f"handler state has d={handlers.system.d}, expected d={args.d}"
@@ -194,24 +214,26 @@ def _cmd_functional(args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def _cmd_run(args: argparse.Namespace) -> tuple[Any, int]:
-    circuit = circuit_from_dict(_load_json(args.circuit))
-    state = state_from_dict(_load_json(args.infile))
+    circuit = _load_json(args.circuit, circuit_from_dict)
+    state = _load_json(args.infile, state_from_dict)
     return _state_doc(run_circuit(circuit, state)), EXIT_OK
 
 
 def _cmd_analyze(args: argparse.Namespace) -> tuple[Any, int]:
-    state = state_from_dict(_load_json(args.infile))
+    state = _load_json(args.infile, state_from_dict)
     input_rep = state.rep.value
     if state.rep is Representation.K:
         state = to_q_rep(state)
-    report = entropies(state)
+    # one F† serves both what entropies and k_distributions would compute
+    k_probs = _k_probabilities(state.amplitudes, state.system)
+    report = _entropy_report(probabilities(state), k_probs)
     return {
         "n": state.system.n,
         "d": state.system.d,
         "input_rep": input_rep,
         "expect_q": expect_q(state),
         "expect_k": expect_k(state),
-        "k_distributions": k_distributions(state),
+        "k_distributions": _wire_distributions(k_probs, state.system),
         "entropy": entropy_to_dict(report),
         "d_is_prime": is_prime(state.system.d),
     }, EXIT_OK
@@ -299,4 +321,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    """The console script: main, then exit without the interpreter's teardown.
+
+    A one-shot process has nothing to finalize once its output is flushed.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

@@ -87,11 +87,14 @@ def _oracle_exponents(system: QuditSystem) -> np.ndarray:
     d = system.d
     table = base = product_table(d)
     for _ in range(system.n - 1):
-        # one more digit, the least significant of both q and k; the cap
-        # forces d <= 64 once n >= 2, so a sum of two residues fits in uint8
-        table = table[:, None, :, None] + base[None, :, None, :]
+        # one more digit, the most significant of both q and k, so that the
+        # broadcast add runs along the table built so far, not along an axis
+        # of length d; the cap forces d <= 64 once n >= 2, so a sum of two
+        # residues fits in uint8
+        size = len(table) * d
+        table = base[:, None, :, None] + table[None, :, None, :]
         table %= d
-        table = table.reshape(len(table) * d, -1)
+        table = table.reshape(size, size)
     return table
 
 

@@ -123,22 +123,27 @@ def product_table(d: int) -> np.ndarray:
 def functional_rows(digits: np.ndarray, d: int) -> np.ndarray:
     """k.q mod d for each row k of a (K, n) digit array and every basis label q.
 
-    An int64 array of shape (K, d**n), each row in index order: the Kronecker
-    sum of the digits' multiples of 0..d-1, reduced once. The wires are added
-    from the last, the least significant, so that each broadcast add runs
-    along the table built so far, not along a new axis of length d.
+    Shape (K, d**n), each row in index order, in the smallest unsigned dtype
+    that holds 2(d - 1): one byte per entry for d <= 128. Row k is the
+    Kronecker sum of k's rows of product_table(d), computed here for k's
+    digits only, and is reduced mod d after each digit, so that a sum of two
+    residues always fits. The wires are added from the last, the least
+    significant, so that each broadcast add runs along the table built so
+    far, not along a new axis of length d.
     """
-    r = np.arange(d)
-    table = digits[:, -1:] * r
+    multiples = digits[:, :, None] * np.arange(d)
+    multiples %= d
+    multiples = multiples.astype(np.min_scalar_type(2 * (d - 1)))
+    table = multiples[:, -1]
     for j in range(digits.shape[1] - 2, -1, -1):
-        table = (digits[:, j, None] * r)[:, :, None] + table[:, None, :]
+        table = multiples[:, j, :, None] + table[:, None, :]
+        table %= d
         table = table.reshape(len(digits), -1)
-    table %= d
     return table
 
 
 def functional_values(k: DigitLabel) -> np.ndarray:
-    """k.q mod d for every basis label q, as an int array in index order."""
+    """functional_rows' row for k: k.q mod d for every basis label q, in index order."""
     return functional_rows(np.array([k.digits]), k.system.d)[0]
 
 

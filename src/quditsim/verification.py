@@ -50,6 +50,7 @@ from .groups import (
     DigitLabel,
     QuditSystem,
     enumerate_labels,
+    functional_rows,
     functional_values,
     index_to_label,
     is_prime,
@@ -64,9 +65,10 @@ _RANDOM_GATES = 100
 _FUNCTIONAL_CASE_CAP = 2048
 _ORACLE_BLOCK = 256  # rows of O per block in _oracle_pass
 _PROBES = 8  # Gaussian columns X in _oracle_pass
-# rows of O per take and per planewave_rows call in _oracle_pass: 16 raised
-# verify's peak RSS by about 0.5 MB at (5, 5), 4 is as fast and adds nothing
-_WAVE_BLOCK = 4
+# rows of O per take in _oracle_pass: 16, each gather then compared with its
+# complex planewave rows, raised verify's peak RSS by about 0.5 MB at (5, 5);
+# 4 was as fast and added nothing
+_GATHER_ROWS = 4
 _COMPARISONS = {"<": operator.lt, ">": operator.gt}
 
 # Hand-enumerated 2-qutrit partition tables used as a fixed regression
@@ -82,38 +84,61 @@ def _label_digits(system: QuditSystem) -> np.ndarray:
     return np.indices((system.d,) * system.n).reshape(system.n, -1).T
 
 
+def _planewave_dev(
+    system: QuditSystem, exponents: np.ndarray, roots: np.ndarray
+) -> float:
+    """Max |planewave_rows row k - row k of O| over every label k, from integers.
+
+    Both are gathers of roots, through functional_rows and through O's
+    exponent table, so they differ only where the tables do, and by
+    |roots[a] - roots[b]| there: the bits the complex difference would give.
+    The tables are compared _ORACLE_BLOCK labels at a time.
+    """
+    digits = _label_digits(system)
+    dev = 0.0
+    for start in range(0, system.dim, _ORACLE_BLOCK):
+        labels = slice(start, start + _ORACLE_BLOCK)
+        waves, oracle = functional_rows(digits[labels], system.d), exponents[labels]
+        differ = waves != oracle
+        if differ.any():
+            gap = np.abs(roots[waves[differ]] - roots[oracle[differ]])
+            dev = max(dev, float(np.max(gap)))
+    return dev
+
+
 def _oracle_pass(
     system: QuditSystem, probe_rng: np.random.Generator
 ) -> dict[str, float]:
     """The dense oracle O against its own unitarity, F^{⊗n} and the planewaves.
 
     "unitary" is max |O†O X - X| / max |X| and "transform" max |O X - F^{⊗n} X|
-    / max |X|, for Gaussian columns X; "planewave" is max |planewave_rows row k
-    - row k of O| over every label k, exactly 0 unless functional_rows and the
-    exponent table disagree.
+    / max |X|, for Gaussian columns X; "planewave" is _planewave_dev, exactly 0
+    unless functional_rows and the exponent table disagree.
     """
     d, n, dim = system.d, system.n, system.dim
     exponents, roots = _oracle_exponents(system), _scaled_roots(system)
-    digits = _label_digits(system)
+    # the integer compare ends, with its scratch, before any complex row block
+    # exists: inside the block loop it raised verify's peak RSS by about 2 MB
+    # at (5, 5), (3, 7) and (2, 11)
+    planewave_dev = _planewave_dev(system, exponents, roots)
     x = probe_rng.standard_normal((dim, 2 * _PROBES)).view(np.complex128)
     block_buf = np.empty((min(dim, _ORACLE_BLOCK), dim), dtype=roots.dtype)
     ox = np.empty((dim, _PROBES), dtype=roots.dtype)
     # Σ (B X)^H B over O's row blocks B is (O†O X)^H: dim²·p work, not dim³
     acc = np.zeros((_PROBES, dim), dtype=roots.dtype)
-    planewave_dev = 0.0
     for start in range(0, dim, _ORACLE_BLOCK):
         block = block_buf[: min(_ORACLE_BLOCK, dim - start)]
-        for sub in range(0, len(block), _WAVE_BLOCK):
-            chunk = block[sub : sub + _WAVE_BLOCK]
+        for sub in range(0, len(block), _GATHER_ROWS):
+            chunk = block[sub : sub + _GATHER_ROWS]
             labels = slice(start + sub, start + sub + len(chunk))
             # take's intp copy of the exponents is one chunk; mode="clip"
             # writes straight into out, "raise" fills a temporary first
             roots.take(exponents[labels], out=chunk, mode="clip")
-            waves = planewave_rows(system, digits[labels])
-            planewave_dev = max(planewave_dev, float(np.max(np.abs(waves - chunk))))
         rows = slice(start, start + len(block))
         ox[rows] = block @ x
         acc += np.conj(ox[rows]).T @ block
+    # the row block is freed before the transform's scratch is made
+    del block_buf, block, chunk
     fx = apply_at(x, d, n, range(n), single_qudit_fourier(d))
     scale = np.max(np.abs(x))
     return {

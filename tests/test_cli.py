@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import quditsim.analysis as analysis
+import quditsim.cli as cli
 import quditsim.fourier as fourier
 import quditsim.verification as verification
 from quditsim import (
@@ -388,6 +390,31 @@ def test_analyze_non_prime_reported(tmp_path, capsys):
     assert json.loads(out)["d_is_prime"] is False
 
 
+# analyze reads one F† of its q-rep state for both the entropies and the
+# k-distributions; a k-rep input is first transformed to q
+@pytest.mark.parametrize(
+    "rep,transforms",
+    [
+        (Representation.Q, [Representation.K]),
+        (Representation.K, [Representation.Q, Representation.K]),
+    ],
+)
+def test_analyze_transforms_to_k_once(monkeypatch, tmp_path, capsys, rep, transforms):
+    seen = []
+    transform = fourier._transform
+
+    def counting(amps, system, to):
+        seen.append(to)
+        return transform(amps, system, to)
+
+    for module in (fourier, analysis):
+        monkeypatch.setattr(module, "_transform", counting)
+    path = write_state(tmp_path, "state.json", basis((2, 1), 3, rep))
+    code, _, err = invoke(capsys, ["analyze", "--in", path])
+    assert code == EXIT_OK, err
+    assert seen == transforms
+
+
 def test_verify_passes(capsys):
     code, out, err = invoke(capsys, ["verify", "--d", "3", "--n", "2"])
     assert code == EXIT_OK
@@ -501,6 +528,60 @@ def test_verify_bad_arguments_are_usage_errors(capsys):
     assert invoke(capsys, ["verify", "--d", "3", "--n", "0"])[0] == EXIT_USAGE
     assert invoke(capsys, ["verify", "--d", "2", "--n", "1", "--seed", "-1"]) == (
         EXIT_USAGE, "", "error: --seed must be non-negative, got -1\n"
+    )
+
+
+def _reject(doc):
+    raise ValueError("rejected")
+
+
+# _load_json pauses the cyclic collector while it loads and parses, and gives
+# the caller's state back whether the load, the parse or neither raised
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_json_restores_the_collector_state(tmp_path, enabled):
+    path = write_state(tmp_path, "state.json", basis((1, 0), 2))
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{", encoding="utf-8")
+
+    def parse(doc):
+        assert not gc.isenabled()
+        return doc["n"]
+
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert cli._load_json(path, parse) == 2
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="rejected"):
+            cli._load_json(path, _reject)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError):
+            cli._load_json(str(malformed), parse)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+# `python -m quditsim` leaves through entrypoint's os._exit, after flushing:
+# the same bytes and exit code as main in this process
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["transform", "--in", "{path}", "--to", "k"], EXIT_OK),
+        (["verify", "--d", "2", "--n", "13"], EXIT_VALIDATION),
+    ],
+    ids=["transform", "verify-over-cap"],
+)
+def test_module_run_matches_main_in_process(tmp_path, capsys, argv, expected):
+    path = write_state(tmp_path, "state.json", basis((1, 0, 2), 3))
+    argv = [a.format(path=path) for a in argv]
+    code, out, err = invoke(capsys, argv)
+    result = subprocess.run(
+        [sys.executable, "-m", "quditsim", *argv], capture_output=True
+    )
+    assert code == expected
+    assert (result.returncode, result.stdout, result.stderr) == (
+        code, out.encode(), err.encode()
     )
 
 
@@ -748,8 +829,6 @@ def test_string_and_boolean_amplitudes_exit_2(tmp_path, capsys, argv, amplitudes
 
 
 def test_non_finite_payload_exits_2(monkeypatch, capsys):
-    import quditsim.cli as cli
-
     check = {"name": "x", "measured": math.nan, "tolerance": 1.0,
              "comparison": "<", "pass": True}
     monkeypatch.setattr(
@@ -927,8 +1006,6 @@ def test_dumps_canonical_rejects_non_float_arrays(array):
     ],
 )
 def test_memory_error_exits_2(monkeypatch, capsys, exc, message):
-    import quditsim.cli as cli
-
     def too_large(label):
         raise exc
 

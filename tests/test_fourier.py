@@ -163,7 +163,10 @@ def test_planewave_bitwise_from_exp_formula(d, n):
     system = QuditSystem(n, d)
     labels = enumerate_labels(system)
     for k in labels[:: max(1, len(labels) // 128)] + labels[-1:]:
-        expected = np.exp(2j * np.pi * functional_values(k) / d) / np.sqrt(system.dim)
+        # the int64 values, as numpy 1.x would compute 2j·pi times a uint8
+        # array in complex64
+        phases = functional_values(k).astype(np.int64)
+        expected = np.exp(2j * np.pi * phases / d) / np.sqrt(system.dim)
         assert np.array_equal(planewave(k).amplitudes, expected)
 
 

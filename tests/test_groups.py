@@ -139,12 +139,26 @@ def test_functional_values_match_dot_mod(n, d):
     labels = enumerate_labels(system)
     digits = np.array([k.digits for k in labels])
     rows, waves = functional_rows(digits, d), planewave_rows(system, digits)
-    assert rows.dtype == np.int64
+    assert rows.dtype == np.uint8
     for k, row, wave in zip(labels, rows, waves, strict=True):
         values = functional_values(k)
         assert values.tolist() == [dot_mod(k, q) for q in labels]
         assert (row.dtype, row.tobytes()) == (values.dtype, values.tobytes())
         assert wave.tobytes() == planewave(k).amplitudes.tobytes()
+
+
+# the smallest unsigned dtype that holds a sum of two residues, 2(d - 1);
+# the values are those of the int64 formula on either side of the boundary
+@pytest.mark.parametrize(
+    "n,d,dtype",
+    [(2, 2, np.uint8), (1, 128, np.uint8), (1, 129, np.uint16), (2, 129, np.uint16)],
+)
+def test_functional_rows_dtype_holds_a_sum_of_two_residues(n, d, dtype):
+    digits = np.array([[d - 1] * n, [1] + [d // 2] * (n - 1), [0] * n])
+    rows = functional_rows(digits, d)
+    labels = np.indices((d,) * n).reshape(n, -1)
+    assert rows.dtype == dtype
+    assert np.array_equal(rows, (digits @ labels) % d)
 
 
 def test_label_index_examples():

@@ -8,9 +8,9 @@ import pytest
 import quditsim.analysis as analysis
 import quditsim.fourier as fourier
 import quditsim.gates as gates
+import quditsim.groups as groups
 import quditsim.verification as verification
 from quditsim import (
-    DigitLabel,
     QuditSystem,
     Representation,
     SingleQuditUnitary,
@@ -152,14 +152,20 @@ def _measured(checks):
 
 
 # Each Fourier row must catch a broken planewave or oracle on its own: the
-# mutations below replace a verification module global and pin the exact
-# set of rows that fail.
+# mutations below replace a module global and pin the exact set of rows that
+# fail. functional_rows is the one planewave path: fourier.planewave_rows
+# gathers the roots through it, and the oracle pass compares its integer
+# tables with O's, so a faulty table is patched into both modules.
+def _patch_functional_rows(monkeypatch, rows):
+    for module in (fourier, verification):
+        monkeypatch.setattr(module, "functional_rows", rows)
+
+
 def test_digit_reversed_planewaves_fail_the_transform_rows(monkeypatch):
-    # planewave_rows is the one planewave path; at (3, 2) the spot labels 00,
-    # 11 and 22 are palindromes, so the spot checks alone cannot see this
-    monkeypatch.setattr(
-        verification, "planewave_rows",
-        lambda system, digits: fourier.planewave_rows(system, digits[:, ::-1]),
+    # at (3, 2) the spot labels 00, 11 and 22 are palindromes, so the spot
+    # checks alone cannot see this
+    _patch_functional_rows(
+        monkeypatch, lambda digits, d: groups.functional_rows(digits[:, ::-1], d)
     )
     assert _failing(3, 2) == {
         "planewave_matches_transform",
@@ -168,25 +174,25 @@ def test_digit_reversed_planewaves_fail_the_transform_rows(monkeypatch):
 
 
 def _replacing_label_4(d, n, replace):
-    """planewave_rows with label 4's row passed through replace."""
+    """functional_rows with label 4's row passed through replace(row, d)."""
     label_4 = index_to_label(4, QuditSystem(n, d)).digits
 
-    def rows(system, digits):
-        waves = fourier.planewave_rows(system, digits)
+    def rows(digits, d):
+        table = groups.functional_rows(digits, d)
         hit = (digits == label_4).all(axis=1)
-        waves[hit] = replace(system, waves[hit])
-        return waves
+        table[hit] = replace(table[hit], d)
+        return table
 
     return rows
 
 
-# At (3, 2) label 4 is (1, 1): its row repeated from label 0 is caught by the
-# oracle pass and by both exhaustive rows, which build every planewave anew.
+# At (3, 2) label 4 is (1, 1): its row repeated from label 0, whose k.q are
+# all 0, is caught by the oracle pass and by both exhaustive rows, which
+# build every planewave anew.
 def test_repeated_planewave_fails_orthonormality(monkeypatch):
-    def label_0(system, rows):
-        return fourier.planewave(DigitLabel((0, 0), system)).amplitudes
-
-    monkeypatch.setattr(verification, "planewave_rows", _replacing_label_4(3, 2, label_0))
+    _patch_functional_rows(
+        monkeypatch, _replacing_label_4(3, 2, lambda row, d: np.zeros_like(row))
+    )
     assert _failing(3, 2) == {
         "planewave_matches_transform",
         "planewave_orthonormality",
@@ -194,23 +200,23 @@ def test_repeated_planewave_fails_orthonormality(monkeypatch):
     }
 
 
-# A global phase on one planewave keeps the set orthonormal and each wave an
-# eigenstate, so only the oracle pass's row-by-row comparison sees it; at
-# (2, 9) the exhaustive rows are not run at all.
+# k.q + 1 mod d on one label is a global phase omega on its planewave: the
+# set stays orthonormal and each wave an eigenstate, so only the oracle pass's
+# row-by-row comparison sees it; at (2, 9) the exhaustive rows are not run.
 @pytest.mark.parametrize("d,n", [(3, 2), (2, 9)])
 def test_one_replaced_planewave_row_fails_only_the_transform_row(monkeypatch, d, n):
-    monkeypatch.setattr(
-        verification, "planewave_rows",
-        _replacing_label_4(d, n, lambda system, rows: -rows),
+    _patch_functional_rows(
+        monkeypatch, _replacing_label_4(d, n, lambda row, d: (row + 1) % d)
     )
     assert _failing(d, n) == {"planewave_matches_transform"}
 
 
 def _mutated_roots(mutate):
-    """verification._scaled_roots with every root passed through mutate."""
+    """fourier._scaled_roots, as it is now, with every root passed through mutate."""
+    scaled_roots = fourier._scaled_roots
 
     def roots(system):
-        return mutate(fourier._scaled_roots(system))
+        return mutate(scaled_roots(system))
 
     return roots
 
@@ -224,20 +230,50 @@ ORACLE_ROWS = {
 }
 
 
+# Mutated roots in verification reach O alone. The pass compares O's rows
+# with the planewaves as integer tables, both gathered from its one roots
+# array, so only the rows that read O's values see them.
 def test_conjugated_oracle_fails_only_the_column_check(monkeypatch):
-    # a conjugated unitary is unitary, so only the rows that compare O's
-    # entries with the planewaves and with F fail
+    # a conjugated unitary is unitary, so only the columns against F fail
     monkeypatch.setattr(verification, "_scaled_roots", _mutated_roots(np.conj))
-    assert _failing(3, 2) == ORACLE_ROWS - {"dense_oracle_unitary"}
+    assert _failing(3, 2) == {"transform_matches_dense_oracle"}
 
 
-@pytest.mark.parametrize("d,n,failing", [(3, 2, ORACLE_ROWS), (2, 9, ORACLE_ROWS)])
+SCALED_ORACLE_ROWS = ORACLE_ROWS - {"planewave_matches_transform"}
+
+
+@pytest.mark.parametrize(
+    "d,n,failing", [(3, 2, SCALED_ORACLE_ROWS), (2, 9, SCALED_ORACLE_ROWS)]
+)
 def test_scaled_oracle_fails_unitarity(monkeypatch, d, n, failing):
     monkeypatch.setattr(
         verification, "_scaled_roots",
         _mutated_roots(lambda roots: roots * (1 + 1e-9)),
     )
     assert _failing(d, n) == failing
+
+
+# Roots scaled in fourier alone move every planewave but not O: the integer
+# compare cannot see them, and F applied to the spot labels' point masses,
+# compared with their planewaves, does. The scaled planewaves' norms also
+# fail the rows that read them whole.
+@pytest.mark.parametrize(
+    "d,n,failing",
+    [
+        (3, 2, {"planewave_orthonormality", "entropy_extremes"}),
+        (2, 9, {"entropy_extremes"}),
+    ],
+)
+def test_scaled_planewave_roots_fail_the_transform_row(monkeypatch, d, n, failing):
+    monkeypatch.setattr(
+        fourier, "_scaled_roots", _mutated_roots(lambda roots: roots * (1 + 1e-9))
+    )
+    checks = run_verification(d, n)["checks"]
+    assert {c["name"] for c in checks if not c["pass"]} == failing | {
+        "planewave_matches_transform"
+    }
+    # 1e-9 of an amplitude 1/sqrt(dim)
+    assert _measured(checks)["planewave_matches_transform"] >= 0.9e-9 / d ** (n / 2)
 
 
 # The transform to Q stays in the Fourier rows' path: the round trip reads it,
@@ -397,19 +433,25 @@ def test_oracle_probe_measures_scaled_roots(monkeypatch, n, d):
 
 def test_oracle_probe_scratch_stays_below_a_quarter_oracle(monkeypatch):
     # Besides the one-byte exponent table, built here first, the pass holds
-    # one row block, take's intp copy of four rows' exponents, the dim x p
-    # product O X and the p x dim accumulator, never the 16·dim² bytes of the
-    # complex oracle.
+    # one 256-row complex block and the dim x p probe arrays O X and X (the
+    # p x dim accumulator, take's intp copy of four rows' exponents and the
+    # gemm results fit in the slack), never the 16·dim² bytes of the complex
+    # oracle. The planewaves' integer tables are compared before the block
+    # exists: compared inside the block loop, they push the peak past this bound.
     system = QuditSystem(11, 2)
     exponents = fourier._oracle_exponents(system)
     monkeypatch.setattr(verification, "_oracle_exponents", lambda system: exponents)
+    # made outside the trace: a generator's first seeding imports modules
+    probes = np.random.default_rng([0, 1])
     tracemalloc.start()
     try:
-        _probe_dev(system)
+        verification._oracle_pass(system, probes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * system.dim**2 / 4
+    block = 16 * verification._ORACLE_BLOCK * system.dim
+    probe = 16 * system.dim * verification._PROBES
+    assert peak < 1.1 * (block + 2 * probe) < 16 * system.dim**2 / 4
 
 
 @pytest.mark.parametrize("d,n,seed", [(3, 2, 0), (2, 9, 5)])
