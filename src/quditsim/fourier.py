@@ -11,8 +11,6 @@ mod d table groups.product_table(d). _transform alone applies F to states.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from ._tensor import apply_at
@@ -98,10 +96,7 @@ def _oracle_exponents(system: QuditSystem) -> np.ndarray:
     return table
 
 
-@functools.cache
 def _scaled_roots(system: QuditSystem) -> np.ndarray:
-    """omega**v / sqrt(d**n) for v in [0, d), every planewave entry; read-only."""
+    """omega**v / sqrt(d**n) for v in [0, d), every planewave entry; new per call."""
     d = system.d
-    roots = np.exp(2j * np.pi * np.arange(d) / d) / np.sqrt(system.dim)
-    roots.setflags(write=False)
-    return roots
+    return np.exp(2j * np.pi * np.arange(d) / d) / np.sqrt(system.dim)

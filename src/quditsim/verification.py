@@ -65,9 +65,7 @@ _RANDOM_GATES = 100
 _FUNCTIONAL_CASE_CAP = 2048
 _ORACLE_BLOCK = 256  # rows of O per block in _oracle_pass
 _PROBES = 8  # Gaussian columns X in _oracle_pass
-# rows of O per take in _oracle_pass: 16, each gather then compared with its
-# complex planewave rows, raised verify's peak RSS by about 0.5 MB at (5, 5);
-# 4 was as fast and added nothing
+# rows of O per take in _oracle_pass, few since take first copies its index rows to intp
 _GATHER_ROWS = 4
 _COMPARISONS = {"<": operator.lt, ">": operator.gt}
 

@@ -22,7 +22,7 @@ from quditsim import (
     to_q_rep,
 )
 from quditsim._tensor import apply_at
-from quditsim.fourier import _oracle_exponents, _scaled_roots
+from quditsim.fourier import _oracle_exponents
 from quditsim.groups import functional_values, product_table
 
 Q = Representation.Q
@@ -289,10 +289,21 @@ def test_oracle_exponent_scratch_stays_below_a_quarter_table():
     assert peak < 1.25 * table.nbytes
 
 
-def test_scaled_roots_built_once_per_system_and_read_only():
-    roots = _scaled_roots(QuditSystem(3, 5))
-    assert roots is _scaled_roots(QuditSystem(3, 5))
-    assert not roots.flags.writeable
+def test_planewave_holds_no_memory_once_deleted():
+    # The roots are built per call: a process-wide cache of them kept 16.8 MB
+    # alive after this wave was gone and raised the call's peak to 3x its bytes.
+    label = DigitLabel((12345,), QuditSystem(1, 2**20))
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        wave = planewave(label)
+        nbytes = wave.amplitudes.nbytes
+        del wave
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - start < 2**20
+    assert peak - start < 2.5 * nbytes
 
 
 def test_dense_oracle_scale_cap():

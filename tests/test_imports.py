@@ -1,5 +1,6 @@
-"""Import hygiene of the package modules and the tests, and contraction sites
-of the package modules, checked with the stdlib ast module.
+"""Import hygiene of the package modules and the tests, contraction sites of
+the package modules, and the package's freedom from functools caches,
+checked with the stdlib ast module.
 
 `__init__.py` is exempt from the unused-import check: its imports are
 re-exports listed in `__all__`.
@@ -47,22 +48,36 @@ def test_no_unused_imports(path):
 # one contraction path whose rounding the byte tests pin
 CONTRACTIONS = {"tensordot", "moveaxis", "einsum", "dot"}
 
+# process-wide memo decorators: the package keeps no state between calls, so
+# a cached array (such as one planewave's roots at large d) is never held for
+# the life of the process
+CACHES = {"cache", "lru_cache"}
 
-def _contraction_uses(source: str) -> list[str]:
+
+def _uses(source: str, module: str, names: set[str]) -> list[str]:
+    """Each `<module or its alias>.<name>` and `from <module> import <name>`."""
+    tree = ast.parse(source)
+    bound = {module} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == module and alias.asname
+    }
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
-            and node.value.id in {"np", "numpy"}
-            and node.attr in CONTRACTIONS
+            and node.value.id in bound
+            and node.attr in names
         ):
             found.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
-        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+        elif isinstance(node, ast.ImportFrom) and node.module == module:
             found += [
-                f"from numpy import {alias.name} (line {node.lineno})"
+                f"from {module} import {alias.name} (line {node.lineno})"
                 for alias in node.names
-                if alias.name in CONTRACTIONS
+                if alias.name in names
             ]
     return sorted(found)
 
@@ -72,7 +87,7 @@ def test_checker_flags_a_contraction():
         "import numpy as np\nfrom numpy import einsum\n"
         "x = np.dot(a, b) + np.vdot(a, b) + a @ b\ny = numpy.moveaxis(x, 0, 1)\n"
     )
-    assert _contraction_uses(source) == [
+    assert _uses(source, "numpy", CONTRACTIONS) == [
         "from numpy import einsum (line 2)",
         "np.dot (line 3)",
         "numpy.moveaxis (line 4)",
@@ -83,6 +98,29 @@ def test_contractions_only_in_tensor_module():
     found = {
         path.name: uses
         for path in sorted(SRC.glob("*.py"))
-        if path.name != "_tensor.py" and (uses := _contraction_uses(path.read_text()))
+        if path.name != "_tensor.py"
+        and (uses := _uses(path.read_text(), "numpy", CONTRACTIONS))
+    }
+    assert found == {}
+
+
+def test_checker_flags_a_cache():
+    source = (
+        "import functools\nimport functools as ft\nfrom functools import lru_cache as lc\n"
+        "@functools.cache\ndef f(): pass\n@ft.lru_cache(maxsize=None)\ndef g(): pass\n"
+        "@lc\ndef h(): pass\n@functools.wraps(f)\ndef w(): pass\n"
+    )
+    assert _uses(source, "functools", CACHES) == [
+        "from functools import lru_cache (line 3)",
+        "ft.lru_cache (line 6)",
+        "functools.cache (line 4)",
+    ]
+
+
+def test_no_caches_in_package():
+    found = {
+        path.name: uses
+        for path in sorted(SRC.glob("*.py"))
+        if (uses := _uses(path.read_text(), "functools", CACHES))
     }
     assert found == {}
