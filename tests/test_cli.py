@@ -651,6 +651,15 @@ GOLDEN_FUNCTIONAL_SHA256 = {
     (5, (4, 3), "2,4"): "02174495abcb26b83f4f23d5c44d983597c2f7284e2d626e44d818491be05707",
     (2, (1,), "1"): "4c5989b12bbc100e1c482397b99cbcae2e32ea1c3060d52d57966eef91ec773a",
 }
+# (d, m, rep, sources) -> sha256 of `quditsim functional` stdout on
+# signed_handler_file(d, m, rep, seed=d + m); negative handler amplitudes
+# leave signed zeros in the output state, which print as -0.
+GOLDEN_FUNCTIONAL_SIGNED_SHA256 = {
+    (3, 2, "q", "1,2"): "d57488a7295775b50ee42a28c66ce2c1d1f0eebc4b9bd91f794797487902d6fe",
+    (2, 4, "q", "1,0,1,1"): "2a9baa2e9551e4edc2dd6fea62f60ed65678ba35edd521d7ca2bf84546c7fc05",
+    (5, 1, "q", "3"): "ff000a20eae7a580efc759448e245352c202f467e00c68d53e14bb2662ad0f3a",
+    (4, 2, "k", "3,1"): "930ade178580cd08ac4e63e2dc80b25492f877767140f9b8b8926e1c16ba3f7f",
+}
 
 # (target rep, d = 2 basis digits) -> sha256 of `quditsim transform` stdout for
 # the basis state in the other rep; ("q", 0, 1, 0) is the k-rep point mass at
@@ -858,6 +867,40 @@ def test_functional_stdout_matches_golden_sha256(tmp_path, capsys, d, handlers, 
     assert code == EXIT_OK, err
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == GOLDEN_FUNCTIONAL_SHA256[(d, handlers, sources)]
+
+
+def signed_handler_file(tmp_path, d, m, rep, seed):
+    """A seeded handler state of random signs whose functional output is exact.
+
+    Each amplitude is real or imaginary, zero or a power of 1/2, and the
+    squares are powers of 1/4 that sum to exactly 1: |a| and every marginal
+    sum are exact, so no digit depends on libm or the summation order.
+    """
+    rng = np.random.default_rng(seed)
+    squares = [1.0]
+    while len(squares) + 3 <= d**m:
+        w = squares.pop(int(rng.integers(len(squares))))
+        squares += [w / 4] * 4
+    mags = [math.sqrt(w) for w in squares] + [0.0] * (d**m - len(squares))
+    amps = []
+    for mag in rng.permutation(mags).tolist():
+        value = mag * float(rng.choice([-1.0, 1.0]))
+        amps.append([0.0, value] if rng.integers(2) else [value, 0.0])
+    path = tmp_path / "handlers.json"
+    path.write_text(json.dumps({"n": m, "d": d, "rep": rep, "amplitudes": amps}))
+    return str(path)
+
+
+@pytest.mark.parametrize("d,m,rep,sources", sorted(GOLDEN_FUNCTIONAL_SIGNED_SHA256))
+def test_functional_signed_zeros_match_golden_sha256(tmp_path, capsys, d, m, rep, sources):
+    path = signed_handler_file(tmp_path, d, m, rep, seed=d + m)
+    code, out, err = invoke(
+        capsys, ["functional", "--d", str(d), "--handlers", path, "--sources", sources]
+    )
+    assert code == EXIT_OK, err
+    assert "[-0, " in out or ", -0]" in out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == GOLDEN_FUNCTIONAL_SIGNED_SHA256[(d, m, rep, sources)]
 
 
 @pytest.mark.parametrize("to,digits", sorted(GOLDEN_TRANSFORM_SHA256))
