@@ -33,7 +33,7 @@ from .analysis import (
     partition_to_dict,
 )
 from .fourier import planewave, to_q_rep, to_k_rep
-from .gates import build_functional_circuit, circuit_from_dict, run_circuit
+from .gates import apply_gates, build_functional_circuit, circuit_from_dict, run_circuit
 from .groups import DigitLabel, QuditSystem, is_prime
 from .states import (
     Representation,
@@ -42,7 +42,6 @@ from .states import (
     basis_state,
     probabilities,
     state_from_dict,
-    tensor_product,
 )
 from .verification import DEFAULT_SEED, run_verification
 
@@ -194,16 +193,14 @@ def _cmd_functional(args: argparse.Namespace) -> tuple[Any, int]:
     if any(not 0 <= x < d for x in sources):
         raise UsageError(f"source digits must lie in [0, {d})")
     # a count mismatch against the handler file is a validation error (exit 2)
-    source_label = DigitLabel(sources, QuditSystem(m, d))
+    source = basis_state(DigitLabel(sources, QuditSystem(m, d)), Representation.Q)
+    holder = np.eye(1, d, dtype=np.complex128)[0]
     # The amplitude list gives the functional coefficients whether the file
-    # is tagged q or k, so a k-rep file is accepted verbatim.
-    handler_wires = StateVector(handlers.system, Representation.Q, handlers.amplitudes)
+    # is tagged q or k, so a k-rep file is accepted verbatim. kron, not a
+    # zero-filled scatter: (a+bi)(0+0j) keeps the signed zeros the output prints.
     circuit, layout = build_functional_circuit(m, d)
-    start = tensor_product(
-        tensor_product(handler_wires, basis_state(source_label, Representation.Q)),
-        basis_state(DigitLabel((0,), QuditSystem(1, d)), Representation.Q),
-    )
-    out = run_circuit(circuit, start)
+    start = np.kron(np.kron(handlers.amplitudes, source.amplitudes), holder)
+    out = StateVector(circuit.system, Representation.Q, apply_gates(circuit, start))
     holder_probs = wire_marginal(
         probabilities(out), d, circuit.system.n, layout.holder_wire
     )

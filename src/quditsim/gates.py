@@ -37,8 +37,9 @@ UNITARY_TOL = 1e-10
 
 
 def _unitarity_dev(m: np.ndarray) -> float:
-    """max |M M† - 1| for a square matrix M, in one product."""
-    return float(np.max(np.abs(m @ m.conj().T - np.eye(len(m)))))
+    """max |M M† - 1| for a square M, in one product; nan or inf if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(m @ m.conj().T - np.eye(len(m)))))
 
 
 def _add_to_digit(
@@ -189,7 +190,7 @@ class SingleQuditUnitary(_GateKind):
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
         dev = _unitarity_dev(m)
-        if dev > UNITARY_TOL:
+        if not dev <= UNITARY_TOL:  # nan when the product overflows
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

@@ -182,6 +182,15 @@ def test_partition_reference_tables(capsys):
     }
 
 
+@pytest.mark.parametrize("d,ket", [(10, "90"), (11, "10,0")])
+def test_partition_ket_separator_starts_at_d_11(capsys, d, ket):
+    code, out, _ = invoke(capsys, ["partition", "--n", "2", "--d", str(d), "--k", "1,0"])
+    assert code == EXIT_OK
+    # with k = (1, 0) the class of q is its first digit; the last class holds
+    # the labels whose first digit is d - 1, and its first has last digit 0
+    assert json.loads(out)["classes"][-1][0] == ket
+
+
 def test_partition_zero_functional(capsys):
     code, out, _ = invoke(capsys, ["partition", "--n", "2", "--d", "3", "--k", "0,0"])
     assert code == EXIT_OK
@@ -801,6 +810,26 @@ def test_overflowing_amplitude_is_one_stderr_line(tmp_path):
     assert result.stderr == (
         "error: state has non-finite amplitudes: sum |a|^2 = inf\n"
     )
+
+
+@pytest.mark.parametrize(
+    "entry,dev", [([1e308, 1e308], "nan"), ([1e200, 0], "inf")], ids=["nan", "inf"]
+)
+def test_unitary_whose_gram_overflows_is_one_stderr_line(tmp_path, entry, dev):
+    # finite entries whose M M† overflows are rejected when the circuit is
+    # parsed; in a fresh process no numpy warning reaches stderr
+    state_path = write_state(tmp_path, "state.json", basis((0,), 2))
+    circuit_path = tmp_path / "circuit.json"
+    matrix = [[entry, [0, 0]], [[0, 0], [1, 0]]]
+    circuit_path.write_text(json.dumps(
+        {"n": 1, "d": 2, "gates": [{"kind": "unitary", "target": 0, "matrix": matrix}]}
+    ))
+    cmd = [sys.executable, "-m", "quditsim", "run", "--circuit", str(circuit_path),
+           "--in", state_path]
+    result = subprocess.run(cmd, capture_output=True, text=True)
+    assert result.returncode == EXIT_VALIDATION
+    assert result.stdout == ""
+    assert result.stderr == f"error: gate 0: matrix is not unitary (deviation {dev})\n"
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from quditsim import (
     circuit_from_dict,
     circuit_to_dict,
     circuit_unitary_oracle,
+    dense_fourier_oracle,
     dot_mod,
     enumerate_labels,
     index_to_label,
@@ -32,6 +33,7 @@ from quditsim import (
     translation_gate_matrix,
     translation_operator_k_rep,
 )
+from quditsim.gates import _unitarity_dev
 
 Q = Representation.Q
 K = Representation.K
@@ -340,6 +342,26 @@ def test_run_circuit_rejects_norm_drift():
     system = QuditSystem(1, 2)
     with pytest.raises(ValueError, match="not normalized"):
         run_circuit(Circuit(system, (drifting,) * 10), ket((0,), 2))
+
+
+def test_unitarity_dev_sees_a_change_in_the_last_row():
+    # Only row dim-1 of O changes, so only row and column dim-1 of O O†
+    # change. Its diagonal entry moves by about 2 * 1e-6 / sqrt(1024) =
+    # 6.25e-8, past the gates' own tolerance of 1e-10 as well.
+    oracle = dense_fourier_oracle(QuditSystem(10, 2))
+    oracle[-1, 0] += 1e-6
+    assert _unitarity_dev(oracle) >= 6e-8
+    with pytest.raises(ValueError, match="not unitary"):
+        SingleQuditUnitary(0, oracle)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry,dev", [(1e308 + 1e308j, "nan"), (1e200, "inf")])
+def test_unitary_whose_gram_overflows_is_rejected(entry, dev):
+    # finite entries whose M M† is not: the deviation is nan or inf, never a
+    # pass, and numpy's overflow warning would fail the test
+    with pytest.raises(ValueError, match=rf"not unitary \(deviation {dev}\)"):
+        SingleQuditUnitary(0, [[entry, 0], [0, 1]])
 
 
 def test_single_qudit_unitary_gate_matches_matrix():

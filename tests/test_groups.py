@@ -207,6 +207,9 @@ def test_enumerate_labels_in_index_order(n, d):
 def test_ket_strings():
     assert label((1, 2), 2, 3).ket() == "12"
     assert label((0, 11), 2, 12).ket() == "0,11"
+    # the separator starts where a digit can take two characters
+    assert label((9, 0), 2, 10).ket() == "90"
+    assert label((10, 0), 2, 11).ket() == "10,0"
 
 
 def test_is_prime():
