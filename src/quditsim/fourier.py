@@ -5,8 +5,8 @@ the single-qudit matrix F[q, k] = omega**(q*k) / sqrt(d) maps k-rep
 amplitudes to q-rep amplitudes; the opposite direction uses F's conjugate
 transpose. The n-qudit transform factorizes as one F per qudit because the
 planewave phase exp(2*pi*i*(sum k_j*q_j)/d) is insensitive to reducing the
-exponent sum mod d. F and the dense oracle's exponents are built from the q*k
-mod d table groups.product_table(d). _transform alone applies F to states.
+exponent sum mod d. F is built from the q*k mod d table groups.product_table(d),
+the dense oracle from q*k products of its own. _transform alone applies F.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import numpy as np
 from ._tensor import apply_at
 from .groups import DigitLabel, QuditSystem, functional_rows, product_table
 from .states import Representation, StateVector, require_rep
+
+_ORACLE_BLOCK = 256  # rows of the oracle O, and of its exponents, per block
 
 
 def single_qudit_fourier(d: int) -> np.ndarray:
@@ -65,35 +67,38 @@ def planewave_rows(system: QuditSystem, digits: np.ndarray) -> np.ndarray:
 def dense_fourier_oracle(system: QuditSystem) -> np.ndarray:
     """Full d**n x d**n matrix with entry[q][k] = omega**(k.q) / sqrt(d**n).
 
-    A test oracle, capped at ORACLE_DIM_CAP; it shares only product_table(d)
-    with the per-qudit path, since F has its own roots. Row q is
-    planewave(q)'s amplitudes: one gather of _scaled_roots through
-    _oracle_exponents, whose uint8 or uint16 index table numpy reads as it
-    is (take would first copy it to intp).
+    A test oracle, capped at ORACLE_DIM_CAP, that shares no arithmetic with
+    the per-qudit path. Row q is planewave(q)'s amplitudes: one gather of
+    _scaled_roots through _oracle_exponents, whose uint8 or uint16 index
+    table numpy reads as it is (take would first copy it to intp).
     """
     return _scaled_roots(system)[_oracle_exponents(system)]
 
 
-def _oracle_exponents(system: QuditSystem) -> np.ndarray:
-    """The dim x dim table of k.q mod d, so the oracle is _scaled_roots(system)[table].
+def _oracle_exponents(system: QuditSystem, rows: slice = slice(None)) -> np.ndarray:
+    """Rows `rows` of the dim x dim table of k.q mod d; O is _scaled_roots(system)[it].
 
-    In product_table's dtype: one byte per entry for d <= 256. Built one
-    digit at a time from product_table(d), so past that table its scratch is
-    the previous digit's table, 1/d**2 of the result. New per call.
+    New per call, one byte per entry for d <= 256. Row q is hi[q_hi] + lo[q_lo],
+    the full tables of q's first n // 2 and last n - n // 2 digits, reduced mod d
+    _ORACLE_BLOCK rows at a time; at n = 1 only the rows asked for are built.
     """
     system.require_oracle_dim()
-    d = system.d
-    table = base = product_table(d)
-    for _ in range(system.n - 1):
-        # one more digit, the most significant of both q and k, so that the
-        # broadcast add runs along the table built so far, not along an axis
-        # of length d; the cap forces d <= 64 once n >= 2, so a sum of two
-        # residues fits in uint8
-        size = len(table) * d
-        table = base[:, None, :, None] + table[None, :, None, :]
+    d, n = system.d, system.n
+    if n == 1:
+        r = np.arange(d, dtype=np.min_scalar_type((d - 1) ** 2))
+        table = np.multiply.outer(r[rows], r)
         table %= d
-        table = table.reshape(size, size)
-    return table
+        return table.astype(np.min_scalar_type(d - 1), copy=False)
+    # the cap forces d <= 64 once n >= 2, so a sum of two residues fits in uint8
+    hi, lo = (_oracle_exponents(QuditSystem(m, d)) for m in (n // 2, n - n // 2))
+    q_hi, q_lo = np.divmod(np.arange(system.dim)[rows], len(lo))
+    table = np.empty((len(q_hi), len(hi), len(lo)), dtype=hi.dtype)
+    for start in range(0, len(table), _ORACLE_BLOCK):
+        block = slice(start, start + _ORACLE_BLOCK)
+        np.add(hi[q_hi[block], :, None], lo[q_lo[block], None, :], out=table[block])
+        # t - d wraps above t for t < d, so this is t mod d, faster than uint8 %
+        np.minimum(table[block], table[block] - hi.dtype.type(d), out=table[block])
+    return table.reshape(len(table), -1)
 
 
 def _scaled_roots(system: QuditSystem) -> np.ndarray:

@@ -127,9 +127,9 @@ def functional_rows(digits: np.ndarray, d: int) -> np.ndarray:
     that holds 2(d - 1): one byte per entry for d <= 128. Row k is the
     Kronecker sum of k's rows of product_table(d), computed here for k's
     digits only, and is reduced mod d after each digit, so that a sum of two
-    residues always fits. The wires are added from the last, the least
-    significant, so that each broadcast add runs along the table built so
-    far, not along a new axis of length d.
+    residues always fits, as min(t, t - d): t - d wraps above t when t < d.
+    The wires are added from the last, the least significant, so that each
+    broadcast add runs along the table built so far, not along a new axis.
     """
     multiples = digits[:, :, None] * np.arange(d)
     multiples %= d
@@ -137,7 +137,7 @@ def functional_rows(digits: np.ndarray, d: int) -> np.ndarray:
     table = multiples[:, -1]
     for j in range(digits.shape[1] - 2, -1, -1):
         table = multiples[:, j, :, None] + table[:, None, :]
-        table %= d
+        np.minimum(table, table - table.dtype.type(d), out=table)
         table = table.reshape(len(digits), -1)
     return table
 

@@ -27,6 +27,7 @@ from .analysis import (
 )
 from ._tensor import apply_at
 from .fourier import (
+    _ORACLE_BLOCK,
     _oracle_exponents,
     _scaled_roots,
     _transform,
@@ -63,7 +64,6 @@ _ROUND_TRIP_STATES = 20
 _ENTROPY_STATES = 100
 _RANDOM_GATES = 100
 _FUNCTIONAL_CASE_CAP = 2048
-_ORACLE_BLOCK = 256  # rows of O per block in _oracle_pass
 _PROBES = 8  # Gaussian columns X in _oracle_pass
 # rows of O per take in _oracle_pass, few since take first copies its index rows to intp
 _GATHER_ROWS = 4
@@ -82,21 +82,20 @@ def _label_digits(system: QuditSystem) -> np.ndarray:
     return np.indices((system.d,) * system.n).reshape(system.n, -1).T
 
 
-def _planewave_dev(
-    system: QuditSystem, exponents: np.ndarray, roots: np.ndarray
-) -> float:
+def _planewave_dev(system: QuditSystem, roots: np.ndarray) -> float:
     """Max |planewave_rows row k - row k of O| over every label k, from integers.
 
     Both are gathers of roots, through functional_rows and through O's
     exponent table, so they differ only where the tables do, and by
     |roots[a] - roots[b]| there: the bits the complex difference would give.
-    The tables are compared _ORACLE_BLOCK labels at a time.
+    The tables are built and compared _ORACLE_BLOCK labels at a time.
     """
     digits = _label_digits(system)
     dev = 0.0
     for start in range(0, system.dim, _ORACLE_BLOCK):
         labels = slice(start, start + _ORACLE_BLOCK)
-        waves, oracle = functional_rows(digits[labels], system.d), exponents[labels]
+        waves = functional_rows(digits[labels], system.d)
+        oracle = _oracle_exponents(system, labels)
         differ = waves != oracle
         if differ.any():
             gap = np.abs(roots[waves[differ]] - roots[oracle[differ]])
@@ -114,29 +113,29 @@ def _oracle_pass(
     unless functional_rows and the exponent table disagree.
     """
     d, n, dim = system.d, system.n, system.dim
-    exponents, roots = _oracle_exponents(system), _scaled_roots(system)
+    roots = _scaled_roots(system)
     # the integer compare ends, with its scratch, before any complex row block
     # exists: inside the block loop it raised verify's peak RSS by about 2 MB
     # at (5, 5), (3, 7) and (2, 11)
-    planewave_dev = _planewave_dev(system, exponents, roots)
+    planewave_dev = _planewave_dev(system, roots)
     x = probe_rng.standard_normal((dim, 2 * _PROBES)).view(np.complex128)
     block_buf = np.empty((min(dim, _ORACLE_BLOCK), dim), dtype=roots.dtype)
     ox = np.empty((dim, _PROBES), dtype=roots.dtype)
     # Σ (B X)^H B over O's row blocks B is (O†O X)^H: dim²·p work, not dim³
     acc = np.zeros((_PROBES, dim), dtype=roots.dtype)
     for start in range(0, dim, _ORACLE_BLOCK):
-        block = block_buf[: min(_ORACLE_BLOCK, dim - start)]
+        rows = slice(start, start + _ORACLE_BLOCK)
+        exponents = _oracle_exponents(system, rows)
+        block = block_buf[: len(exponents)]
         for sub in range(0, len(block), _GATHER_ROWS):
             chunk = block[sub : sub + _GATHER_ROWS]
-            labels = slice(start + sub, start + sub + len(chunk))
             # take's intp copy of the exponents is one chunk; mode="clip"
             # writes straight into out, "raise" fills a temporary first
-            roots.take(exponents[labels], out=chunk, mode="clip")
-        rows = slice(start, start + len(block))
+            roots.take(exponents[sub : sub + len(chunk)], out=chunk, mode="clip")
         ox[rows] = block @ x
         acc += np.conj(ox[rows]).T @ block
     # the row block is freed before the transform's scratch is made
-    del block_buf, block, chunk
+    del block_buf, block, chunk, exponents
     fx = apply_at(x, d, n, range(n), single_qudit_fourier(d))
     scale = np.max(np.abs(x))
     return {

@@ -276,6 +276,20 @@ def test_product_table_is_q_times_k_mod_d_in_the_smallest_unsigned_type(d, dtype
     assert np.array_equal(table, np.outer(r, r) % d)
 
 
+# ragged last blocks at (3, 7), (5, 5) and (300, 1); (300, 1) is uint16
+@pytest.mark.parametrize(
+    "d,n", [(3, 7), (5, 5), (2, 11), (64, 2), (2, 12), (300, 1)]
+)
+def test_oracle_exponent_row_blocks_are_rows_of_the_full_table(d, n):
+    system = QuditSystem(n, d)
+    table = _oracle_exponents(system)
+    for start in range(0, system.dim, 256):
+        rows = slice(start, start + 256)
+        block = _oracle_exponents(system, rows)
+        assert block.dtype == table.dtype
+        assert np.array_equal(block, table[rows])
+
+
 def test_oracle_exponent_scratch_stays_below_a_quarter_table():
     # Digit by digit, the scratch is the previous digit's table, 1/16 of
     # the result at (4, 6).

@@ -154,34 +154,88 @@ def cli_inputs(draw):
     return command, state, draw(corrupted({"n": n, "d": d, "gates": gates}))
 
 
-@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
-@hypothesis.given(cli_inputs())
-@hypothesis.example(("run", BASIS_STATE, {"n": 1, "d": 2, "gates": [
-    {"kind": "unitary", "target": 0, "matrix": OVERFLOW_UNITARY}]}))
-def test_cli_parsers_exit_0_or_with_one_error_line(inputs):
-    command, state, circuit = inputs
+def _assert_exit_0_or_one_error_line(command, files, flags, codes):
+    """main([command, --name path per JSON file, *flags]): exit 0 with empty
+    stderr, or an exit in codes with empty stdout and one error line; no warning."""
     out, err = io.StringIO(), io.StringIO()
     # a directory per example: a function-scoped fixture would be shared by all
     with tempfile.TemporaryDirectory() as tmp:
-        state_path = os.path.join(tmp, "state.json")
-        circuit_path = os.path.join(tmp, "circuit.json")
-        with open(state_path, "w") as fh:
-            json.dump(state, fh)
-        argv = {"transform": ["transform", "--in", state_path, "--to", "k"],
-                "analyze": ["analyze", "--in", state_path],
-                "run": ["run", "--circuit", circuit_path, "--in", state_path]}[command]
-        if circuit is not None:
-            with open(circuit_path, "w") as fh:
-                json.dump(circuit, fh)
+        argv = [command]
+        for name, doc in files.items():
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            argv += [f"--{name}", path]
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
-            code = main(argv)
+            code = main(argv + flags)
     assert [str(w.message) for w in caught] == []
-    assert code in (0, 2), err.getvalue()
+    assert code in (0, *codes), err.getvalue()
     if code == 0:
         assert err.getvalue() == ""
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(cli_inputs())
+@hypothesis.example(("run", BASIS_STATE, {"n": 1, "d": 2, "gates": [
+    {"kind": "unitary", "target": 0, "matrix": OVERFLOW_UNITARY}]}))
+def test_cli_parsers_exit_0_or_with_one_error_line(inputs):
+    command, state, circuit = inputs
+    files = {"in": state} if circuit is None else {"circuit": circuit, "in": state}
+    flags = ["--to", "k"] if command == "transform" else []
+    _assert_exit_0_or_one_error_line(command, files, flags, codes=(2,))
+
+
+@st.composite
+def fuzzed(draw, doc):
+    """doc as it is, or corrupted(), after its n, d and rep are moved off or not."""
+    if draw(st.booleans()):
+        return doc
+    if draw(st.booleans()):
+        n, d = doc["n"], doc["d"]
+        doc = {**doc, "n": draw(st.sampled_from([n, 0, n + 1, 10**400])),
+               "d": draw(st.sampled_from([d, 1, d + 1]))}
+        if "rep" in doc:
+            doc["rep"] = draw(st.sampled_from(["q", "k", "Q", "", "qk"]))
+    return draw(corrupted(doc))
+
+
+@st.composite
+def functional_and_ccadd_inputs(draw):
+    """(command, files, flags): functional on a handler file, or run on an
+    n = 3 ccadd circuit, each valid or fuzzed; d <= 5, so that a valid
+    functional circuit has at most 5**5 amplitudes."""
+    d = draw(st.integers(2, 5))
+    one = draw(st.sampled_from([[1, 0], [0, -1.0]]))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 2))
+        amps = [[0, 0] for _ in range(d**m)]
+        amps[draw(st.integers(0, d**m - 1))] = one
+        rep = draw(st.sampled_from("qk"))
+        handlers = draw(fuzzed({"n": m, "d": d, "rep": rep, "amplitudes": amps}))
+        digits = draw(st.one_of(
+            st.lists(st.integers(0, d - 1), min_size=m, max_size=m),
+            st.lists(st.integers(-1, d), max_size=m + 1),
+        ))
+        flags = ["--d", str(draw(st.sampled_from([d, d, 1, d + 1]))),
+                 "--sources=" + ",".join(map(str, digits))]
+        return "functional", {"handlers": handlers}, flags
+    amps = [[0, 0] for _ in range(d**3)]
+    amps[draw(st.integers(0, d**3 - 1))] = one
+    state = {"n": 3, "d": d, "rep": "q", "amplitudes": amps}
+    wires = draw(st.permutations([0, 1, 2]))
+    gate = {"kind": "ccadd", **dict(zip(("k_control", "j_control", "target"), wires))}
+    circuit = draw(fuzzed({"n": 3, "d": d, "gates": [gate]}))
+    return "run", {"circuit": circuit, "in": draw(fuzzed(state))}, []
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(functional_and_ccadd_inputs())
+def test_functional_and_ccadd_exit_0_or_with_one_error_line(inputs):
+    command, files, flags = inputs
+    _assert_exit_0_or_one_error_line(command, files, flags, codes=(1, 2))

@@ -325,10 +325,10 @@ def test_phase_on_one_column_of_f_fails_only_the_transform_row(monkeypatch, d, n
 def _mutated_exponents(mutate):
     """verification._oracle_exponents with mutate applied to each new table."""
 
-    def exponents(system):
+    def exponents(system, rows):
         table = fourier._oracle_exponents(system)
         mutate(table, system.d)
-        return table
+        return table[rows]
 
     return exponents
 
@@ -427,7 +427,9 @@ def test_oracle_probe_scratch_stays_below_a_quarter_oracle(monkeypatch):
     # exists: compared inside the block loop, they push the peak past this bound.
     system = QuditSystem(11, 2)
     exponents = fourier._oracle_exponents(system)
-    monkeypatch.setattr(verification, "_oracle_exponents", lambda system: exponents)
+    monkeypatch.setattr(
+        verification, "_oracle_exponents", lambda system, rows: exponents[rows]
+    )
     # made outside the trace: a generator's first seeding imports modules
     probes = np.random.default_rng([0, 1])
     tracemalloc.start()
@@ -439,6 +441,28 @@ def test_oracle_probe_scratch_stays_below_a_quarter_oracle(monkeypatch):
     block = 16 * verification._ORACLE_BLOCK * system.dim
     probe = 16 * system.dim * verification._PROBES
     assert peak < 1.1 * (block + 2 * probe) < 16 * system.dim**2 / 4
+
+
+# 2048, 3125 and 4096 amplitudes; a dim x dim exponent table, 1/16 of the
+# complex oracle, would push each peak past the bound
+@pytest.mark.parametrize("d,n", [(2, 11), (5, 5), (4, 6)])
+def test_oracle_pass_builds_its_exponents_one_row_block_at_a_time(d, n):
+    # The pass as verify runs it, exponents and all: one 256-row complex
+    # block, the probe arrays O X and X, and 256-row one-byte exponent
+    # blocks. The next block and its reduction's scratch are built while the
+    # last is held; the slack covers that third block and the accumulator.
+    system = QuditSystem(n, d)
+    probes = np.random.default_rng([0, 1])
+    tracemalloc.start()
+    try:
+        verification._oracle_pass(system, probes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = 16 * verification._ORACLE_BLOCK * system.dim
+    probe = 16 * system.dim * verification._PROBES
+    exponents = verification._ORACLE_BLOCK * system.dim
+    assert peak < 1.2 * (block + 2 * probe + 2 * exponents) < 16 * system.dim**2 / 4
 
 
 @pytest.mark.parametrize("d,n,seed", [(3, 2, 0), (2, 9, 5)])
