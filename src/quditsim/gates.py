@@ -2,17 +2,17 @@
 
 Translations, controlled adds and doubly controlled adds all add a function
 of the control digits to the target digit, mod d: basis permutations done by
-one gather of the amplitudes in O(d**n). Every gate sees the (d,)*n view of
-its buffer, in which wire w is axis w: a translation gathers along the
-target axis, and a controlled add gathers over flat indices built on that
-view. Full gate matrices exist only inside the test oracle. Each gate class
-holds everything specific to its kind; a gate checks that its wires are
-distinct and its matrix unitary when it is built, and its Circuit checks that
-it fits the system. Gates act on a raw (d**n, *batch) buffer whose columns
-are separate states; apply_gates passes one such buffer from gate to gate
-without checking it, and run_circuit checks the norm once, on the output
-state. circuit_from_dict names the gate, as "gate i: ...", in every error
-that one gate's fields raise.
+one gather of the amplitudes in O(d**n). Each views its buffer as
+(d**lo, d**span, rest), whose middle axis merges the span of wires from the
+gate's first wire, lo, to its last (one wire for a translation), and gathers
+once along that axis with an index of d**span entries. Full gate matrices
+exist only inside the test oracle. Each gate class holds everything specific
+to its kind; a gate checks that its wires are distinct and its matrix unitary
+when it is built, and its Circuit checks that it fits the system. Gates act
+on a raw (d**n, *batch) buffer whose columns are separate states; apply_gates
+passes one such buffer from gate to gate without checking it, and run_circuit
+checks the norm once, on the output state. circuit_from_dict names the gate,
+as "gate i: ...", in every error that one gate's fields raise.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def _unitarity_dev(m: np.ndarray) -> float:
 
 
 def _add_to_digit(
-    amps: np.ndarray, d: int, n: int, wires: tuple[int, ...], shift: np.ndarray
+    amps: np.ndarray, d: int, wires: tuple[int, ...], shift: np.ndarray
 ) -> np.ndarray:
     """Add shift[control digits] to the target digit of every index, mod d.
 
@@ -51,25 +51,23 @@ def _add_to_digit(
     `wires` lists the controls, then the target; `shift` is a
     (d,)*len(controls) table with entries in [0, d), indexed by the control
     digits in that order. Wire w is axis w of the (d,)*n view, so wire 0 is
-    the most significant digit. Without controls, one gather along the target
-    axis moves every amplitude. With controls, only the target digit of each
-    source index differs from its output index, so a table of index offsets
-    over (control digits, target digit), broadcast onto the (d,)*n view of
-    the flat indices, gives every source index, and one flat gather along
-    axis 0 moves each row.
+    the most significant digit. In the (d**lo, d**span, rest) view only the
+    target digit of a source index differs from its output index: a table of
+    index offsets over (control digits, target digit), broadcast onto the
+    (d,)*span view of the middle axis's indices, gives every source index
+    for one gather along that axis.
     """
-    *controls, target = wires
+    lo = min(wires)
+    span = max(wires) + 1 - lo
     t = np.arange(d)
-    if not controls:  # the same gather in every slice; ~3x faster than flat
-        arr = amps.reshape((d,) * n + amps.shape[1:])
-        return np.take(arr, (t - shift) % d, axis=target).reshape(amps.shape)
     # source minus output index for each (control digits..., target digit)
-    delta = ((t - shift[..., None]) % d - t) * d ** (n - 1 - target)
-    source = np.arange(d**n).reshape((d,) * n)
+    delta = ((t - shift[..., None]) % d - t) * d ** (max(wires) - wires[-1])
+    source = np.arange(d**span).reshape((d,) * span)
     source += delta.transpose(np.argsort(wires)).reshape(
-        [d if w in wires else 1 for w in range(n)]
+        [d if w in wires else 1 for w in range(lo, lo + span)]
     )
-    return np.take(amps, source.reshape(-1), axis=0)
+    view = amps.reshape(d**lo, d**span, -1)
+    return np.take(view, source.reshape(-1), axis=1).reshape(amps.shape)
 
 
 def _gate_field(doc: dict[str, Any], key: str) -> Any:
@@ -116,7 +114,7 @@ class _GateKind:
 
     def apply(self, amps: np.ndarray, d: int, n: int) -> np.ndarray:
         """The gate's action on a raw q-rep buffer of shape (d**n, *batch)."""
-        return _add_to_digit(amps, d, n, self.wires, self.shift(d))
+        return _add_to_digit(amps, d, self.wires, self.shift(d))
 
     def to_dict(self) -> dict[str, Any]:
         values = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -291,8 +291,9 @@ def test_oracle_exponent_row_blocks_are_rows_of_the_full_table(d, n):
 
 
 def test_oracle_exponent_scratch_stays_below_a_quarter_table():
-    # Digit by digit, the scratch is the previous digit's table, 1/16 of
-    # the result at (4, 6).
+    # Each row is the sum of rows of two half-size tables, 64 x 64 at (4, 6),
+    # reduced 256 rows at a time: the scratch is those tables, the rows'
+    # digit halves and one block's reduction, about 1/16 of the result.
     system = QuditSystem(6, 4)
     tracemalloc.start()
     try:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -529,12 +530,17 @@ def test_run_circuit_matches_digit_reference(d, n):
 @pytest.mark.parametrize("batch", [(3,), (2, 2)])
 @pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (5, 3)])
 def test_controlled_adds_on_a_batch_match_digit_reference(d, n, batch):
-    # every wire order, on a (d**n, *batch) buffer: each column is moved
-    # exactly as digit_reference moves a single state
+    # every target and amount, and every wire order, on a (d**n, *batch)
+    # buffer: each column is moved exactly as digit_reference moves a single
+    # state, also by a translation's one-wire span
     dim = d**n
     rng = np.random.default_rng(d * 100 + n + len(batch))
     amps = rng.standard_normal((dim, *batch)) + 1j * rng.standard_normal((dim, *batch))
     cases = [
+        (Translation(target, amount), (), lambda a=amount: a)
+        for target in range(n)
+        for amount in range(d)
+    ] + [
         (ControlledAdd(control, target, mult), (control,), lambda c, m=mult: m * c)
         for control, target in itertools.permutations(range(n), 2)
         for mult in range(d)
@@ -549,3 +555,20 @@ def test_controlled_adds_on_a_batch_match_digit_reference(d, n, batch):
         for col in range(columns.shape[1]):
             ref = digit_reference(columns[:, col], d, n, gate.target, controls, shift)
             assert np.array_equal(out_columns[:, col], ref), (gate, col)
+
+
+@pytest.mark.parametrize("d,n", [(2, 16), (16, 4)])
+def test_controlled_adds_allocate_little_beyond_their_output(d, n):
+    # The source index covers only the gate's span of wires, d**2 or d**3
+    # entries here; an index over all d**n amplitudes would add half the
+    # output's bytes again.
+    w = n // 2 - 1
+    amps = np.random.default_rng(d + n).standard_normal(d**n) + 0j
+    for gate in (ControlledAdd(w, w + 1, 1), DoublyControlledAdd(w, w + 1, w + 2)):
+        tracemalloc.start()
+        try:
+            out = gate.apply(amps, d, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * out.nbytes, gate
