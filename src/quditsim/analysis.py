@@ -97,13 +97,9 @@ def expect_k(state: StateVector) -> np.ndarray:
 def expect_q(state: StateVector) -> np.ndarray:
     """Per-qudit expectation of the digit value: sum over q of |psi(q)|^2 * q_j."""
     require_rep(state, Representation.Q)
-    d, n = state.system.d, state.system.n
-    probs = probabilities(state)
-    values = np.arange(d)
-    out = np.empty(n)
-    for wire in range(n):
-        out[wire] = float(wire_marginal(probs, d, n, wire) @ values)
-    return out
+    values = np.arange(state.system.d)
+    marginals = _wire_distributions(probabilities(state), state.system)
+    return np.array([float(m @ values) for m in marginals])
 
 
 def k_distributions(state: StateVector) -> np.ndarray:

@@ -248,55 +248,44 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[Any, int]:
     return report, EXIT_VALIDATION
 
 
+# (flag, options) pairs that more than one subcommand declares
+_IN = ("--in", {"dest": "infile", "required": True, "metavar": "STATE_JSON"})
+_N = ("--n", {"type": int, "required": True})
+_D = ("--d", {"type": int, "required": True})
+_K = ("--k", {"required": True, "metavar": "DIGITS"})
+
+# (name, help, handler, arguments) per subcommand, in --help order
+_COMMANDS = (
+    ("transform", "Fourier-transform a state file", _cmd_transform,
+     (_IN, ("--to", {"required": True, "choices": ["q", "k"]}))),
+    ("planewave", "q-rep state of one basis functional", _cmd_planewave,
+     (_N, _D, _K)),
+    ("partition", "basis classes induced by a functional", _cmd_partition,
+     (_N, _D, _K)),
+    ("functional", "run the functional-creation circuit on handler state",
+     _cmd_functional,
+     (_D, ("--handlers", {"required": True, "metavar": "STATE_JSON"}),
+      ("--sources", {"required": True, "metavar": "DIGITS"}))),
+    ("run", "apply a circuit file to a state file", _cmd_run,
+     (("--circuit", {"required": True, "metavar": "CIRCUIT_JSON"}), _IN)),
+    ("analyze", "expectations, distributions, entropies", _cmd_analyze, (_IN,)),
+    ("verify", "run the invariant sweep for one system", _cmd_verify,
+     (_D, _N, ("--seed", {
+         "type": int,
+         "default": DEFAULT_SEED,
+         "help": f"seed for randomized sweeps (default {DEFAULT_SEED})",
+     }))),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="quditsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("transform", help="Fourier-transform a state file")
-    p.add_argument("--in", dest="infile", required=True, metavar="STATE_JSON")
-    p.add_argument("--to", required=True, choices=["q", "k"])
-    p.set_defaults(handler=_cmd_transform)
-
-    p = sub.add_parser("planewave", help="q-rep state of one basis functional")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", required=True, metavar="DIGITS")
-    p.set_defaults(handler=_cmd_planewave)
-
-    p = sub.add_parser("partition", help="basis classes induced by a functional")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", required=True, metavar="DIGITS")
-    p.set_defaults(handler=_cmd_partition)
-
-    p = sub.add_parser(
-        "functional", help="run the functional-creation circuit on handler state"
-    )
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--handlers", required=True, metavar="STATE_JSON")
-    p.add_argument("--sources", required=True, metavar="DIGITS")
-    p.set_defaults(handler=_cmd_functional)
-
-    p = sub.add_parser("run", help="apply a circuit file to a state file")
-    p.add_argument("--circuit", required=True, metavar="CIRCUIT_JSON")
-    p.add_argument("--in", dest="infile", required=True, metavar="STATE_JSON")
-    p.set_defaults(handler=_cmd_run)
-
-    p = sub.add_parser("analyze", help="expectations, distributions, entropies")
-    p.add_argument("--in", dest="infile", required=True, metavar="STATE_JSON")
-    p.set_defaults(handler=_cmd_analyze)
-
-    p = sub.add_parser("verify", help="run the invariant sweep for one system")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help=f"seed for randomized sweeps (default {DEFAULT_SEED})",
-    )
-    p.set_defaults(handler=_cmd_verify)
-
+    for name, help_text, handler, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 

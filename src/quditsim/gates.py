@@ -326,7 +326,9 @@ def build_functional_circuit(
 def circuit_unitary_oracle(circuit: Circuit) -> np.ndarray:
     """Dense unitary: the gates applied to the identity, one batch of columns.
 
-    Test oracle only; the dimension is capped at ORACLE_DIM_CAP.
+    It runs the gates' own kernels, so comparing a circuit's action against
+    it checks batching, not the gates. The dimension is capped at
+    ORACLE_DIM_CAP.
     """
     circuit.system.require_oracle_dim()
     return apply_gates(circuit, np.eye(circuit.system.dim, dtype=np.complex128))

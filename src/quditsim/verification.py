@@ -64,6 +64,7 @@ _ROUND_TRIP_STATES = 20
 _ENTROPY_STATES = 100
 _RANDOM_GATES = 100
 _FUNCTIONAL_CASE_CAP = 2048
+_ONE_QUDIT_D_CAP = 256  # largest d at n = 1, where the sweep grows as d**4
 _PROBES = 8  # Gaussian columns X in _oracle_pass
 # rows of O per take in _oracle_pass, few since take first copies its index rows to intp
 _GATHER_ROWS = 4
@@ -234,6 +235,10 @@ def run_verification(d: int, n: int, seed: int = DEFAULT_SEED) -> dict[str, Any]
     """Run the invariant sweep for one (d, n) system; deterministic per seed."""
     system = QuditSystem(n, d)
     system.require_oracle_dim()
+    if n == 1 and d > _ONE_QUDIT_D_CAP:
+        raise ValueError(
+            f"one-qudit verify is capped at d = {_ONE_QUDIT_D_CAP}, got d = {d}"
+        )
     rng = np.random.default_rng(seed)
     dim = system.dim
     m = _functional_size(d, n)

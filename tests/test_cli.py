@@ -1,7 +1,9 @@
+import argparse
 import gc
 import hashlib
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -515,6 +517,53 @@ def test_verify_dimension_cap(capsys):
     code, _, err = invoke(capsys, ["verify", "--d", "2", "--n", "13"])
     assert code == EXIT_VALIDATION
     assert "dimension" in err
+
+
+def test_verify_one_qudit_cap(capsys):
+    code, out, err = invoke(capsys, ["verify", "--d", "257", "--n", "1"])
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == "error: one-qudit verify is capped at d = 256, got d = 257\n"
+
+
+# Per subcommand, in --help order: each flag's option strings, dest, required,
+# type, choices, metavar and default. Read from the parser's actions rather
+# than its help text, whose wording and wrapping vary between Python versions.
+FLAG_FIELDS = operator.attrgetter(
+    "option_strings", "dest", "required", "type", "choices", "metavar", "default"
+)
+_IN = (["--in"], "infile", True, None, None, "STATE_JSON", None)
+_N = (["--n"], "n", True, int, None, None, None)
+_D = (["--d"], "d", True, int, None, None, None)
+_K = (["--k"], "k", True, None, None, "DIGITS", None)
+CLI_INTERFACE = {
+    "transform": [_IN, (["--to"], "to", True, None, ["q", "k"], None, None)],
+    "planewave": [_N, _D, _K],
+    "partition": [_N, _D, _K],
+    "functional": [
+        _D,
+        (["--handlers"], "handlers", True, None, None, "STATE_JSON", None),
+        (["--sources"], "sources", True, None, None, "DIGITS", None),
+    ],
+    "run": [(["--circuit"], "circuit", True, None, None, "CIRCUIT_JSON", None), _IN],
+    "analyze": [_IN],
+    "verify": [_D, _N, (["--seed"], "seed", False, int, None, None, 0)],
+}
+
+
+def test_cli_interface_is_pinned():
+    parser = cli._build_parser()
+    (commands,) = [
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert list(commands) == list(CLI_INTERFACE)
+    for name, sub in commands.items():
+        flags = [
+            FLAG_FIELDS(a)
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        assert flags == CLI_INTERFACE[name], name
+        assert sub.get_default("handler") is getattr(cli, f"_cmd_{name}")
 
 
 def test_usage_errors(capsys):

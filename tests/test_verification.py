@@ -57,6 +57,12 @@ def test_dimension_cap():
         run_verification(2, 13)
 
 
+# at n = 1 the sweep grows as d**4, and d = 4096 never finished
+def test_one_qudit_cap():
+    with pytest.raises(ValueError, match="capped at d = 256, got d = 257"):
+        run_verification(257, 1)
+
+
 BASE_CHECKS = [
     "single_qudit_fourier_unitary",
     "fourier_round_trip",
