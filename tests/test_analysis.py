@@ -195,6 +195,7 @@ def test_base_two_entropy_unchanged():
     assert shannon_entropy(np.array([0.25] * 4), base=2) == 2.0
 
 
+# h_q + h_k is positive, and at least n ln d: the Maassen–Uffink bound for q/k
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (6, 2)])
 def test_entropy_sum_strictly_positive(d, n):
     rng = np.random.default_rng(61)
@@ -202,6 +203,7 @@ def test_entropy_sum_strictly_positive(d, n):
     for _ in range(100):
         report = entropies(random_state(system, Q, rng))
         assert report.sum > 0
+        assert report.sum >= n * np.log(d) - 1e-12
 
 
 def test_translation_operator_k_rep():

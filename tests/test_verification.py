@@ -75,11 +75,9 @@ BASE_CHECKS = [
     "functional_circuit_exhaustive",
     "partition_matches_circuit",
     "translation_identity",
-    "wavenumber_observable_hermitian",
     "wavenumber_observable_spectrum",
     "planewave_eigenstate_relation",
-    "commutator_nonzero",
-    "entropy_sum_positive",
+    "entropic_uncertainty_bound",
     "entropy_extremes",
     "random_circuit_norm_drift",
 ]
@@ -379,7 +377,7 @@ def test_readme_lists_every_check_in_report_order():
     listed = [name for name, _ in readme_checks()]
     # (3, 2) is the one system whose report carries every check
     names = [c["name"] for c in run_verification(3, 2)["checks"]]
-    assert len(names) == 19
+    assert len(names) == 17
     assert listed == names
 
 
@@ -488,6 +486,18 @@ def test_oracle_probe_leaves_every_other_row_bit_identical(monkeypatch, d, n, se
     monkeypatch.setattr(verification, "_oracle_pass", lambda system, rng: zeros)
     assert other_rows() == (0.0, unpatched)
     assert probe > 0.0
+
+
+# Halved entropies put the random states' sums below n ln d and move both
+# extremes of the spot labels, so exactly the two entropy rows fail.
+@pytest.mark.parametrize("d,n", [(3, 2), (2, 9)])
+def test_halved_entropies_fail_the_two_entropy_rows(monkeypatch, d, n):
+    def halved(amps, system):
+        report = analysis._entropies(amps, system)
+        return analysis.EntropyReport(report.h_q / 2, report.h_k / 2, report.sum / 2)
+
+    monkeypatch.setattr(verification, "_entropies", halved)
+    assert _failing(d, n) == {"entropic_uncertainty_bound", "entropy_extremes"}
 
 
 # Each unitary scaled by 1 + 1e-6 moves the norm. The random circuit's norm is
