@@ -440,8 +440,8 @@ def test_verify_non_prime(capsys):
     assert json.loads(out)["all_pass"] is True
 
 
-# A unitary that moves the norm by 1e-6 fails verify's norm-drift row: the
-# report is written and names that row, with no "not normalized" error.
+# A unitary that moves the norm by 1e-6 fails verify's random-circuit row:
+# the report is written and names that row, with no "not normalized" error.
 def test_verify_reports_a_drifting_unitary(monkeypatch, capsys):
     apply = SingleQuditUnitary.apply
     monkeypatch.setattr(
@@ -451,7 +451,7 @@ def test_verify_reports_a_drifting_unitary(monkeypatch, capsys):
     code, out, err = invoke(capsys, ["verify", "--d", "3", "--n", "2"])
     assert code == EXIT_VALIDATION
     assert json.loads(out)["all_pass"] is False
-    assert err == "failing checks: random_circuit_norm_drift\n"
+    assert err == "failing checks: random_circuit_matches_reference\n"
 
 
 def _mutate_fourier(monkeypatch, mutate):

@@ -192,15 +192,18 @@ def test_numpy_integer_indices_accepted():
     assert state.amplitudes[label_to_index(DigitLabel((2, 0), S23))] == 1.0
 
 
-def test_controlled_add_block_structure():
-    # the 9x9 matrix splits into diagonal blocks T(mult*j) indexed by the control digit
-    system = QuditSystem(2, 3)
-    for mult in range(3):
+# the d² x d² matrix splits into diagonal blocks T(mult*j) indexed by the
+# control digit j; verify's random circuit draws no controlled add at n = 1,
+# so this exhaustive check covers every multiplier at small d
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_controlled_add_block_structure(d):
+    system = QuditSystem(2, d)
+    for mult in range(d):
         oracle = circuit_unitary_oracle(Circuit(system, (ControlledAdd(0, 1, mult),)))
-        expected = np.zeros((9, 9), dtype=complex)
-        for j in range(3):
-            expected[3 * j : 3 * j + 3, 3 * j : 3 * j + 3] = translation_gate_matrix(
-                3, (mult * j) % 3
+        expected = np.zeros((d * d, d * d), dtype=complex)
+        for j in range(d):
+            expected[d * j : d * j + d, d * j : d * j + d] = translation_gate_matrix(
+                d, (mult * j) % d
             )
         assert np.array_equal(oracle, expected)
 

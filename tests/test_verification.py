@@ -71,7 +71,6 @@ BASE_CHECKS = [
     "planewave_orthonormality",
     "dense_oracle_unitary",
     "transform_matches_dense_oracle",
-    "controlled_add_block_structure",
     "functional_circuit_exhaustive",
     "partition_matches_circuit",
     "translation_identity",
@@ -79,10 +78,10 @@ BASE_CHECKS = [
     "planewave_eigenstate_relation",
     "entropic_uncertainty_bound",
     "entropy_extremes",
-    "random_circuit_norm_drift",
+    "random_circuit_matches_reference",
 ]
 QUTRIT_PAIR_CHECKS = (
-    BASE_CHECKS[:10] + ["qutrit_reference_partitions"] + BASE_CHECKS[10:]
+    BASE_CHECKS[:9] + ["qutrit_reference_partitions"] + BASE_CHECKS[9:]
 )
 # Above 81 amplitudes the two exhaustive planewave checks drop out.
 ABOVE_EXHAUSTIVE_CAP = [
@@ -92,15 +91,11 @@ ABOVE_EXHAUSTIVE_CAP = [
 # At n = 1 the conjugated planewaves are F's bytes conjugated, so
 # planewave_orthonormality would repeat single_qudit_fourier_unitary.
 ONE_QUDIT_CHECKS = [name for name in BASE_CHECKS if name != "planewave_orthonormality"]
-# From d = 65 on, d² > 4096 drops the controlled-add check, and no functional
-# size fits the case cap (d >= 46), so both functional checks drop out too.
-ABOVE_CADD_CAP = [
+# From d = 46 on no functional size fits the case cap, so both functional
+# checks drop out.
+NO_FUNCTIONAL_TABLE = [
     name for name in ONE_QUDIT_CHECKS
-    if name not in (
-        "controlled_add_block_structure",
-        "functional_circuit_exhaustive",
-        "partition_matches_circuit",
-    )
+    if name not in ("functional_circuit_exhaustive", "partition_matches_circuit")
 ]
 
 
@@ -113,7 +108,7 @@ ABOVE_CADD_CAP = [
         (4, 3, BASE_CHECKS),
         (2, 7, ABOVE_EXHAUSTIVE_CAP),
         (2, 9, ABOVE_EXHAUSTIVE_CAP),
-        (65, 1, ABOVE_CADD_CAP),
+        (65, 1, NO_FUNCTIONAL_TABLE),
     ],
 )
 def test_check_names_in_order(d, n, names):
@@ -122,11 +117,7 @@ def test_check_names_in_order(d, n, names):
     assert len(checks) == len(names)
     # permutation gates on basis states: no rounding at all
     measured = _measured(checks)
-    for name in (
-        "functional_circuit_exhaustive",
-        "partition_matches_circuit",
-        "controlled_add_block_structure",
-    ):
+    for name in ("functional_circuit_exhaustive", "partition_matches_circuit"):
         assert measured.get(name, 0.0) == 0.0
 
 
@@ -139,10 +130,7 @@ def test_functional_size_is_zero_when_no_table_fits(d, n, m):
 def test_functional_checks_drop_out_without_affordable_size(monkeypatch):
     monkeypatch.setattr(verification, "_functional_size", lambda d, n: 0)
     names = [c["name"] for c in run_verification(2, 1)["checks"]]
-    assert names == [
-        name for name in ONE_QUDIT_CHECKS
-        if name not in ("functional_circuit_exhaustive", "partition_matches_circuit")
-    ]
+    assert names == NO_FUNCTIONAL_TABLE
 
 
 def _failing(d, n):
@@ -377,7 +365,7 @@ def test_readme_lists_every_check_in_report_order():
     listed = [name for name, _ in readme_checks()]
     # (3, 2) is the one system whose report carries every check
     names = [c["name"] for c in run_verification(3, 2)["checks"]]
-    assert len(names) == 17
+    assert len(names) == 16
     assert listed == names
 
 
@@ -385,7 +373,6 @@ def test_readme_lists_every_check_in_report_order():
 README_CONDITIONS = {
     "dim <= 81": lambda d, n: d**n <= 81,
     "n >= 2 and dim <= 81": lambda d, n: n >= 2 and d**n <= 81,
-    "d² <= 4096": lambda d, n: d * d <= 4096,
     "d <= 45, so that some functional size m >= 1 keeps the table within"
     " d^(2m) <= 2048 cases": lambda d, n: d <= 45,
     "d = 3, n = 2 only": lambda d, n: (d, n) == (3, 2),
@@ -500,14 +487,48 @@ def test_halved_entropies_fail_the_two_entropy_rows(monkeypatch, d, n):
     assert _failing(d, n) == {"entropic_uncertainty_bound", "entropy_extremes"}
 
 
-# Each unitary scaled by 1 + 1e-6 moves the norm. The random circuit's norm is
-# read from its raw output buffer, so the drift is a failing row, not a
-# StateVector's "not normalized" error.
-@pytest.mark.parametrize("d,n", [(3, 2), (2, 5), (5, 3), (7, 1)])
-def test_drifting_unitary_fails_only_the_norm_drift_row(monkeypatch, d, n):
+def _drifting_unitaries(monkeypatch):
     apply = gates.SingleQuditUnitary.apply
     monkeypatch.setattr(
         gates.SingleQuditUnitary, "apply",
         lambda self, amps, d, n: apply(self, amps, d, n) * (1 + 1e-6),
     )
-    assert _failing(d, n) == {"random_circuit_norm_drift"}
+
+
+def _transposed_matrices(monkeypatch):
+    apply_at = gates.apply_at
+    monkeypatch.setattr(
+        gates, "apply_at",
+        lambda amps, d, n, wires, matrix: apply_at(amps, d, n, wires, matrix.T),
+    )
+
+
+def _negated_translations(monkeypatch):
+    shift = gates.Translation.shift
+    monkeypatch.setattr(gates.Translation, "shift", lambda self, d: -shift(self, d) % d)
+
+
+# Faults in the gate kernels that only the random circuit's independent
+# reference sees. A drift is read from the raw output buffer, so it is a
+# failing row, not a StateVector's "not normalized" error; a transposed
+# matrix keeps every unitary unitary, and a translation run backwards keeps
+# every permutation a permutation. At d = 2, -a = a mod 2 hides the last.
+KERNEL_FAULTS = {
+    "unitary_drift_1e-6": _drifting_unitaries,
+    "apply_at_transposed": _transposed_matrices,
+    "translation_negated": _negated_translations,
+}
+
+
+@pytest.mark.parametrize(
+    "fault,d,n",
+    [
+        (fault, d, n)
+        for fault in KERNEL_FAULTS
+        for d, n in [(3, 2), (2, 5), (5, 3), (7, 1)]
+        if (fault, d) != ("translation_negated", 2)
+    ],
+)
+def test_kernel_fault_fails_only_the_reference_row(monkeypatch, fault, d, n):
+    KERNEL_FAULTS[fault](monkeypatch)
+    assert _failing(d, n) == {"random_circuit_matches_reference"}
