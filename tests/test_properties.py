@@ -15,9 +15,14 @@ import numpy as np
 import pytest
 
 from quditsim import (
+    Circuit,
+    ControlledAdd,
     DigitLabel,
+    DoublyControlledAdd,
     QuditSystem,
     Representation,
+    SingleQuditUnitary,
+    Translation,
     basis_state,
     dense_fourier_oracle,
     dot_mod,
@@ -29,6 +34,7 @@ from quditsim import (
     to_q_rep,
 )
 from quditsim.cli import main
+from quditsim.gates import apply_gates
 from quditsim.groups import functional_values
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -94,6 +100,47 @@ def test_transforms_match_dense_oracle(system, seed):
     psi = random_state(system, Representation.Q, rng)
     via_oracle = oracle.conj().T @ psi.amplitudes
     assert np.max(np.abs(to_k_rep(psi).amplitudes - via_oracle)) <= 1e-12
+
+
+@st.composite
+def gates_on_batches(draw, kind):
+    """(one-gate circuit of kind, complex (d**n, 1..4) buffer), d**n <= MAX_DIM."""
+    wire_count = len(kind.wire_fields)
+    n = draw(st.integers(wire_count, 8))
+    d = draw(st.integers(2, max(d for d in range(2, MAX_DIM + 1) if d**n <= MAX_DIM)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    wires = draw(st.permutations(range(n)))[:wire_count]
+    if kind is SingleQuditUnitary:
+        gaussian = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        gate = SingleQuditUnitary(target=wires[0], matrix=np.linalg.qr(gaussian)[0])
+    else:
+        digits = [draw(st.integers(0, d - 1)) for _ in kind.digit_fields]
+        gate = kind(**dict(zip(kind.wire_fields + kind.digit_fields, wires + digits)))
+    width = draw(st.integers(1, 4))
+    batch = rng.standard_normal((d**n, 2 * width)).view(np.complex128)
+    return Circuit(QuditSystem(n, d), (gate,)), batch
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [Translation, ControlledAdd, DoublyControlledAdd, SingleQuditUnitary],
+    ids=lambda kind: kind.kind,
+)
+@PROPERTY_SETTINGS
+@hypothesis.given(st.data())
+def test_batched_gate_equals_its_per_column_result(kind, data):
+    # circuit_unitary_oracle and the functional table run gates on batches,
+    # run and the random circuit on single vectors
+    circuit, batch = data.draw(gates_on_batches(kind))
+    batched = apply_gates(circuit, batch)
+    for j in range(batch.shape[1]):
+        column = apply_gates(circuit, batch[:, j])
+        if kind is SingleQuditUnitary:
+            # np.dot may round a batch's columns differently from one vector
+            assert np.max(np.abs(batched[:, j] - column)) <= 1e-12
+        else:
+            # a permutation gate moves amplitudes and computes none
+            assert batched[:, j].tobytes() == column.tobytes()
 
 
 # what the parsers must reject where a number belongs: the float extremes,

@@ -57,7 +57,7 @@ def test_dimension_cap():
         run_verification(2, 13)
 
 
-# at n = 1 the sweep grows as d**4, and d = 4096 never finished
+# at n = 1 the random circuit's QRs grow as d**3, and d = 4096 once never finished
 def test_one_qudit_cap():
     with pytest.raises(ValueError, match="capped at d = 256, got d = 257"):
         run_verification(257, 1)
@@ -74,7 +74,6 @@ BASE_CHECKS = [
     "functional_circuit_exhaustive",
     "partition_matches_circuit",
     "translation_identity",
-    "wavenumber_observable_spectrum",
     "planewave_eigenstate_relation",
     "entropic_uncertainty_bound",
     "entropy_extremes",
@@ -83,10 +82,9 @@ BASE_CHECKS = [
 QUTRIT_PAIR_CHECKS = (
     BASE_CHECKS[:9] + ["qutrit_reference_partitions"] + BASE_CHECKS[9:]
 )
-# Above 81 amplitudes the two exhaustive planewave checks drop out.
+# Above 81 amplitudes the exhaustive planewave check drops out.
 ABOVE_EXHAUSTIVE_CAP = [
-    name for name in BASE_CHECKS
-    if name not in ("planewave_orthonormality", "planewave_eigenstate_relation")
+    name for name in BASE_CHECKS if name != "planewave_orthonormality"
 ]
 # At n = 1 the conjugated planewaves are F's bytes conjugated, so
 # planewave_orthonormality would repeat single_qudit_fourier_unitary.
@@ -157,10 +155,7 @@ def test_digit_reversed_planewaves_fail_the_transform_rows(monkeypatch):
     _patch_functional_rows(
         monkeypatch, lambda digits, d: groups.functional_rows(digits[:, ::-1], d)
     )
-    assert _failing(3, 2) == {
-        "planewave_matches_transform",
-        "planewave_eigenstate_relation",
-    }
+    assert _failing(3, 2) == {"planewave_matches_transform"}
 
 
 def _replacing_label_4(d, n, replace):
@@ -177,17 +172,13 @@ def _replacing_label_4(d, n, replace):
 
 
 # At (3, 2) label 4 is (1, 1): its row repeated from label 0, whose k.q are
-# all 0, is caught by the oracle pass and by both exhaustive rows, which
-# build every planewave anew.
+# all 0, is caught by the oracle pass and by the exhaustive row, which builds
+# every planewave anew.
 def test_repeated_planewave_fails_orthonormality(monkeypatch):
     _patch_functional_rows(
         monkeypatch, _replacing_label_4(3, 2, lambda row, d: np.zeros_like(row))
     )
-    assert _failing(3, 2) == {
-        "planewave_matches_transform",
-        "planewave_orthonormality",
-        "planewave_eigenstate_relation",
-    }
+    assert _failing(3, 2) == {"planewave_matches_transform", "planewave_orthonormality"}
 
 
 # k.q + 1 mod d on one label is a global phase omega on its planewave: the
@@ -286,14 +277,18 @@ def test_conjugated_to_q_rep_fails_the_transform_rows(monkeypatch, d, n, failing
 
 
 # F̄ is unitary, so single_qudit_fourier_unitary cannot see it; the oracle's
-# columns against F̄ on every qudit can. At d = 2, F is real and F̄ = F.
+# columns against F̄ on every qudit can. The patch reaches the eigenstate row's
+# F but not the F inside K, and K F̄ is not F̄ D. At d = 2, F is real and F̄ = F.
 @pytest.mark.parametrize("d,n", [(3, 5), (6, 3)])
 def test_conjugated_fourier_fails_the_transform_row(monkeypatch, d, n):
     monkeypatch.setattr(
         verification, "single_qudit_fourier",
         lambda d: np.conj(fourier.single_qudit_fourier(d)),
     )
-    assert _failing(d, n) == {"transform_matches_dense_oracle"}
+    assert _failing(d, n) == {
+        "transform_matches_dense_oracle",
+        "planewave_eigenstate_relation",
+    }
 
 
 # A phase on column 1 of F keeps F unitary, commutes with the diagonal phase
@@ -365,13 +360,12 @@ def test_readme_lists_every_check_in_report_order():
     listed = [name for name, _ in readme_checks()]
     # (3, 2) is the one system whose report carries every check
     names = [c["name"] for c in run_verification(3, 2)["checks"]]
-    assert len(names) == 16
+    assert len(names) == 15
     assert listed == names
 
 
 # Each README condition phrase, read independently of verification.py.
 README_CONDITIONS = {
-    "dim <= 81": lambda d, n: d**n <= 81,
     "n >= 2 and dim <= 81": lambda d, n: n >= 2 and d**n <= 81,
     "d <= 45, so that some functional size m >= 1 keeps the table within"
     " d^(2m) <= 2048 cases": lambda d, n: d <= 45,
@@ -532,3 +526,62 @@ KERNEL_FAULTS = {
 def test_kernel_fault_fails_only_the_reference_row(monkeypatch, fault, d, n):
     KERNEL_FAULTS[fault](monkeypatch)
     assert _failing(d, n) == {"random_circuit_matches_reference"}
+
+
+def _k_built_as(conjugation):
+    """k_observable_in_q_rep with its matrix replaced by conjugation(F, d)."""
+
+    def observable(d):
+        f = fourier.single_qudit_fourier(d)
+        return analysis.SingleQuditObservable(d, conjugation(f, d), Representation.Q)
+
+    return lambda monkeypatch: monkeypatch.setattr(
+        verification, "k_observable_in_q_rep", observable
+    )
+
+
+def _conjugated_k_rep_shifts(monkeypatch):
+    shift = analysis.translation_operator_k_rep
+    monkeypatch.setattr(
+        analysis, "translation_operator_k_rep", lambda d, q: np.conj(shift(d, q))
+    )
+
+
+EIGENSTATE_ROW = {"planewave_eigenstate_relation"}
+# Faults in the one-qudit duality, each with the systems it is checked at and
+# the one row that must fail there. K is Hermitian with the right spectrum
+# under both K faults, and only K F = F diag(0..d-1) reads its eigenvectors,
+# at every dim. F†DF equals F D F† at d = 2, where F is real and symmetric.
+# The conjugated k-rep phase shifts the other way, which translation_identity
+# sees at its generator q = 1 alone; d = 2 cannot show it.
+ONE_QUDIT_FAULTS = {
+    "k_as_f_dagger_d_f": (
+        _k_built_as(lambda f, d: f.conj().T @ np.diag(np.arange(d)) @ f),
+        [(3, 5), (5, 3), (7, 1)],
+        EIGENSTATE_ROW,
+    ),
+    "k_with_reversed_d": (
+        _k_built_as(lambda f, d: f @ np.diag(np.arange(d)[::-1]) @ f.conj().T),
+        [(3, 5), (5, 3), (2, 9), (7, 1)],
+        EIGENSTATE_ROW,
+    ),
+    "k_rep_shift_conjugated": (
+        _conjugated_k_rep_shifts,
+        [(3, 2), (5, 3), (7, 1)],
+        {"translation_identity"},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "fault,d,n",
+    [
+        (fault, d, n)
+        for fault, (_, systems, _) in ONE_QUDIT_FAULTS.items()
+        for d, n in systems
+    ],
+)
+def test_one_qudit_duality_fault_fails_only_its_row(monkeypatch, fault, d, n):
+    patch, _, failing = ONE_QUDIT_FAULTS[fault]
+    patch(monkeypatch)
+    assert _failing(d, n) == failing
